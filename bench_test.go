@@ -531,38 +531,32 @@ func BenchmarkFleetStreamCheckpoint(b *testing.B) {
 	})
 	dir := b.TempDir()
 	rowsPath := filepath.Join(dir, "rows.ndjson")
-	spec := &fleet.CheckpointSpec{
-		Path:        filepath.Join(dir, "ck.ehdl"),
-		Every:       devices / 4,
-		Fingerprint: "bench",
-	}
-	sweep := func(spec *fleet.CheckpointSpec) fleet.Report {
-		sink, err := fleet.NewNDJSONFile(rowsPath, 0)
+	sweep := func(ckptPath string) fleet.Report {
+		run, err := fleet.OpenRun(fleet.Output{
+			Rows:        rowsPath,
+			Checkpoint:  ckptPath,
+			Every:       devices / 4,
+			Fingerprint: "bench",
+		}, false)
 		if err != nil {
 			b.Fatal(err)
 		}
-		rep, err := fleet.RunStream(src, fleet.StreamOptions{
-			ExactPercentiles: 64,
-			Sink:             sink,
-			Checkpoint:       spec,
-		})
+		rep, err := run.Stream(src, fleet.StreamOptions{ExactPercentiles: 64})
 		if err != nil {
-			b.Fatal(err)
-		}
-		if err := sink.Close(); err != nil {
 			b.Fatal(err)
 		}
 		return rep
 	}
+	ckptPath := filepath.Join(dir, "ck.ehdl")
 	var tOff, tOn time.Duration
 	var rep fleet.Report
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		t0 := time.Now()
-		sweep(nil)
+		sweep("")
 		tOff += time.Since(t0)
 		t1 := time.Now()
-		rep = sweep(spec)
+		rep = sweep(ckptPath)
 		tOn += time.Since(t1)
 	}
 	if rep.Devices != devices || rep.PercentilesExact {

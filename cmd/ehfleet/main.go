@@ -61,15 +61,10 @@
 package main
 
 import (
-	"bufio"
-	"errors"
 	"flag"
 	"fmt"
-	"io/fs"
 	"log"
 	"os"
-	"path/filepath"
-	"strconv"
 	"strings"
 
 	"ehdl/internal/cli"
@@ -130,34 +125,30 @@ func main() {
 		log.Fatalf("unexpected arguments %q (only -merge takes positional arguments)", flag.Args())
 	}
 
-	var part fleet.Partition
-	if *shardSpec != "" {
-		var err error
-		if part, err = parseShard(*shardSpec); err != nil {
-			log.Fatal(err)
-		}
+	part, err := fleet.ParsePartition(*shardSpec)
+	if err != nil {
+		log.Fatalf("-shard: %v", err)
 	}
-	ckptPath, rowsPath := *checkpoint, *out
+	files := fleet.Output{Rows: *out, Checkpoint: *checkpoint}
 	sharding := *shardSpec != ""
 	if sharding {
 		if *out == "" {
 			log.Fatal("-shard needs -out DIR (the shard artifact directory)")
 		}
-		if ckptPath != "" {
+		if *checkpoint != "" {
 			log.Fatal("-checkpoint has no effect with -shard (the shard directory holds its own meta)")
 		}
 		if err := os.MkdirAll(*out, 0o755); err != nil {
 			log.Fatal(err)
 		}
-		rowsPath = filepath.Join(*out, fleet.ShardRowsFile)
-		ckptPath = filepath.Join(*out, fleet.ShardMetaFile)
+		files = fleet.ShardDir(*out)
 	}
-	if *resume && ckptPath == "" {
+	if *resume && files.Checkpoint == "" {
 		log.Fatal("-resume needs -checkpoint FILE or -shard i/N")
 	}
 
 	var src fleet.Source
-	var header, fingerprint string
+	var header string
 	if *scenarios != "" {
 		// The fleet shape comes entirely from the file (-n resizes
 		// it); an explicitly set shape flag would be silently
@@ -205,14 +196,14 @@ func main() {
 		}
 		src = fileSrc
 		header = fmt.Sprintf("scenario file: %s   devices: %d", *scenarios, src.Len())
-		if ckptPath != "" {
-			if fingerprint, err = cli.ScenarioFingerprint(*scenarios, *seed, src.Len()); err != nil {
+		if files.Checkpoint != "" {
+			if files.Fingerprint, err = cli.ScenarioFingerprint(*scenarios, *seed, src.Len()); err != nil {
 				log.Fatal(err)
 			}
 		}
 	} else {
 		var err error
-		if src, fingerprint, err = flagSource(flagFleet{
+		if src, files.Fingerprint, err = flagSource(flagFleet{
 			model:       *modelPath,
 			engines:     *engines,
 			profile:     *profile,
@@ -242,69 +233,29 @@ func main() {
 	if *memoOn {
 		opts.Memo = memo.New(*memoCap)
 	}
-	if ckptPath != "" {
-		opts.Checkpoint = &fleet.CheckpointSpec{
-			Path:        ckptPath,
-			Every:       *checkpointEvery,
-			Fingerprint: fingerprint,
-		}
-	}
-	var st *fleet.CheckpointState
-	if *resume {
-		var err error
-		st, err = fleet.LoadCheckpoint(ckptPath)
-		switch {
-		case errors.Is(err, fs.ErrNotExist):
-			fmt.Fprintf(os.Stderr, "ehfleet: no checkpoint at %s yet, starting fresh\n", ckptPath)
-			st = nil
-		case err != nil:
-			log.Fatal(err)
-		}
-		opts.Resume = st
-	}
-
-	var sinks []fleet.Sink
-	var rowsSink *fleet.NDJSONFile
-	if rowsPath != "" {
-		var err error
-		if st != nil {
-			rowsSink, err = fleet.ResumeNDJSONFile(rowsPath, st.Rows-st.Start, st.Rows)
-		} else {
-			rowsSink, err = fleet.NewNDJSONFile(rowsPath, pstart)
-		}
-		if err != nil {
-			log.Fatal(err)
-		}
-		rowsSink.TagMemo = *memoTag
-		sinks = append(sinks, rowsSink)
-	}
-	var collect *fleet.Collector
-	if src.Len() <= rowTableLimit && !sharding && st == nil {
-		// The terminal row table only makes sense for a whole fleet
-		// streamed from row 0; sharded and resumed runs skip it.
-		collect = &fleet.Collector{}
-		sinks = append(sinks, collect)
-	}
-	if len(sinks) > 0 {
-		opts.Sink = fleet.MultiSink(sinks...)
-	}
-
-	if *progress {
-		resumed := 0
-		if st != nil {
-			resumed = st.Rows - st.Start
-		}
-		opts.Progress = cli.ProgressPrinter(os.Stderr, fleet.SystemClock, resumed)
-	}
-
-	rep, err := fleet.RunStream(src, opts)
+	files.Every, files.TagMemo = *checkpointEvery, *memoTag
+	run, err := fleet.OpenRun(files, *resume)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if rowsSink != nil {
-		if err := rowsSink.Close(); err != nil {
-			log.Fatalf("writing %s: %v", rowsPath, err)
-		}
+	resumed, restored := run.Resumed()
+	if *resume && !restored {
+		fmt.Fprintf(os.Stderr, "ehfleet: no checkpoint at %s yet, starting fresh\n", files.Checkpoint)
+	}
+	var collect *fleet.Collector
+	if src.Len() <= rowTableLimit && !sharding && !restored {
+		// The terminal row table only makes sense for a whole fleet
+		// streamed from row 0; sharded and resumed runs skip it.
+		collect = &fleet.Collector{}
+		opts.Sink = collect
+	}
+	if *progress {
+		opts.Progress = cli.ProgressPrinter(os.Stderr, fleet.SystemClock, resumed)
+	}
+
+	rep, err := run.Stream(src, opts)
+	if err != nil {
+		log.Fatal(err)
 	}
 	if collect != nil {
 		rep.Results = collect.Rows
@@ -317,49 +268,13 @@ func main() {
 // whole-fleet NDJSON row file plus the aggregate report on stdout,
 // byte-identical to a single-process run over the same fleet.
 func runMerge(outDir string, dirs []string) error {
-	if err := os.MkdirAll(outDir, 0o755); err != nil {
-		return err
-	}
-	rowsPath := filepath.Join(outDir, fleet.ShardRowsFile)
-	f, err := os.Create(rowsPath)
+	rep, err := fleet.MergeDir(outDir, dirs, nil)
 	if err != nil {
 		return err
 	}
-	w := bufio.NewWriterSize(f, 1<<20)
-	rep, err := fleet.MergeShards(w, dirs)
-	if err != nil {
-		f.Close()
-		return err
-	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		return fmt.Errorf("writing %s: %w", rowsPath, err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("writing %s: %w", rowsPath, err)
-	}
-	fmt.Printf("merged: %d shards   devices: %d   rows: %s\n", len(dirs), rep.Devices, rowsPath)
+	fmt.Printf("merged: %d shards   devices: %d   rows: %s\n", len(dirs), rep.Devices, fleet.ShardDir(outDir).Rows)
 	fmt.Print(fleet.RenderReport(rep))
 	return nil
-}
-
-// parseShard parses "i/N" into a partition.
-func parseShard(s string) (fleet.Partition, error) {
-	var p fleet.Partition
-	a, b, ok := strings.Cut(s, "/")
-	if ok {
-		var err1, err2 error
-		p.Index, err1 = strconv.Atoi(a)
-		p.Of, err2 = strconv.Atoi(b)
-		ok = err1 == nil && err2 == nil
-	}
-	if !ok {
-		return p, fmt.Errorf("-shard must be i/N (e.g. 2/8), got %q", s)
-	}
-	if p.Of < 1 || p.Index < 0 || p.Index >= p.Of {
-		return p, fmt.Errorf("-shard %s out of range (want 0 <= i < N)", s)
-	}
-	return p, nil
 }
 
 // flagFleet is the parsed flag-mode fleet shape.

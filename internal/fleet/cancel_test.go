@@ -1,7 +1,7 @@
 package fleet
 
 // Cancellation and shared-pool regression suite for RunStream
-// (StreamOptions.Context / StreamOptions.Pool): a cancelled run must
+// (StreamOptions.Context / StreamOptions.Pool): a cancelled durable run must
 // return promptly with every shared worker-pool slot released, write
 // a checkpoint whose frontier covers only whole committed chunks, and
 // resume from that checkpoint to output byte-identical to an
@@ -70,29 +70,25 @@ func TestRunStreamCancelResumesBitIdentical(t *testing.T) {
 	defer cancel()
 	rowsPath := filepath.Join(dir, "rows.ndjson")
 	ckPath := filepath.Join(dir, "ck.ehdl")
-	rowsSink, err := NewNDJSONFile(rowsPath, 0)
+	out := Output{Rows: rowsPath, Checkpoint: ckPath, Every: 2 * chunk, Fingerprint: "cancel-test"}
+	run, err := OpenRun(out, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := &CheckpointSpec{Path: ckPath, Every: 2 * chunk, Fingerprint: "cancel-test"}
-	_, err = RunStream(src, StreamOptions{
+	_, err = run.Stream(src, StreamOptions{
 		Workers:   4,
 		ChunkSize: chunk,
 		Pool:      pool,
 		Context:   ctx,
-		Sink: MultiSink(rowsSink, SinkFunc(func(i int, r Result) error {
+		Sink: SinkFunc(func(i int, r Result) error {
 			if i >= cancelAt {
 				cancel()
 			}
 			return nil
-		})),
-		Checkpoint: spec,
+		}),
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled run returned %v, want a context.Canceled wrap", err)
-	}
-	if err := rowsSink.Close(); err != nil {
-		t.Fatal(err)
 	}
 	if held := pool.InUse(); held != 0 {
 		t.Fatalf("cancelled run left %d pool slots held", held)
@@ -110,22 +106,16 @@ func TestRunStreamCancelResumesBitIdentical(t *testing.T) {
 	}
 
 	// Resume and require bit-identity with the uninterrupted run.
-	resumeSink, err := ResumeNDJSONFile(rowsPath, st.Rows-st.Start, st.Rows)
+	resumed, err := OpenRun(out, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := RunStream(src, StreamOptions{
-		Workers:    4,
-		ChunkSize:  chunk,
-		Pool:       pool,
-		Sink:       resumeSink,
-		Checkpoint: spec,
-		Resume:     st,
+	rep, err := resumed.Stream(src, StreamOptions{
+		Workers:   4,
+		ChunkSize: chunk,
+		Pool:      pool,
 	})
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := resumeSink.Close(); err != nil {
 		t.Fatal(err)
 	}
 	gotRows, err := os.ReadFile(rowsPath)

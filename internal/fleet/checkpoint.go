@@ -9,17 +9,20 @@ package fleet
 // threshold, and a caller-supplied scenario/config fingerprint).
 // Checkpoints are written through internal/artifact — checksummed,
 // versioned, temp-file + atomic rename — so a crash mid-write leaves
-// the previous checkpoint intact, never a torn one.
+// the previous checkpoint intact, never a torn one. A DurableRun
+// (run.go) is the one way to write and resume them.
 //
 // The same container doubles as the shard artifact of a partitioned
-// run: a shard directory holds the final checkpoint (Rows == End)
-// under ShardMetaFile next to its NDJSON row file, and MergeShards
-// folds a set of them back into the single-process report and row
-// stream (see merge.go).
+// run: a shard directory (ShardDir) holds the final checkpoint
+// (Rows == End) under ShardMetaFile next to its NDJSON row file, and
+// MergeDir folds a set of them back into the single-process report
+// and row stream (see merge.go).
 
 import (
 	"errors"
 	"fmt"
+	"strconv"
+	"strings"
 
 	"ehdl/internal/artifact"
 )
@@ -51,6 +54,28 @@ func (p Partition) validate() error {
 	return nil
 }
 
+// ParsePartition parses an "i/N" shard spec ("" is the whole fleet).
+func ParsePartition(s string) (Partition, error) {
+	var p Partition
+	if s == "" {
+		return p, nil
+	}
+	a, b, ok := strings.Cut(s, "/")
+	if ok {
+		var err1, err2 error
+		p.Index, err1 = strconv.Atoi(a)
+		p.Of, err2 = strconv.Atoi(b)
+		ok = err1 == nil && err2 == nil
+	}
+	if !ok {
+		return p, fmt.Errorf("partition must be i/N (e.g. 2/8), got %q", s)
+	}
+	if p.Of < 1 || p.Index < 0 || p.Index >= p.Of {
+		return p, fmt.Errorf("partition %s out of range (want 0 <= i < N)", s)
+	}
+	return p, nil
+}
+
 // Range returns the partition's half-open global device range for a
 // fleet of n devices: equal splits with the remainder spread over the
 // leading shards, covering [0, n) exactly across all Of shards.
@@ -66,28 +91,14 @@ func (p Partition) Range(n int) (start, end int) {
 // to simulation time.
 const DefaultCheckpointEvery = 100_000
 
-// CheckpointSpec configures periodic checkpointing of a streaming
-// run (StreamOptions.Checkpoint).
-type CheckpointSpec struct {
-	// Path is the checkpoint file, rewritten atomically as the commit
-	// frontier advances and once more on completion.
-	Path string
-	// Every is the minimum number of committed rows between writes
-	// (<= 0: DefaultCheckpointEvery).
-	Every int
-	// Fingerprint identifies the run's scenario/config; it is embedded
-	// in the checkpoint and a resume whose fingerprint differs is
-	// rejected with ErrCheckpointMismatch. cli.FleetFingerprint builds
-	// it for the CLIs.
-	Fingerprint string
-}
-
-// every resolves the interval.
-func (c *CheckpointSpec) every() int {
-	if c.Every <= 0 {
-		return DefaultCheckpointEvery
-	}
-	return c.Every
+// checkpointing is what RunStream needs to persist a durable run's
+// commit frontier: where, how often, under which identity, and the
+// loaded checkpoint to continue from (nil: a fresh start).
+type checkpointing struct {
+	path        string
+	every       int
+	fingerprint string
+	resume      *CheckpointState
 }
 
 // checkpointKind is the artifact-container kind of checkpoint and

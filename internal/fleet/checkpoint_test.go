@@ -222,8 +222,8 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 	// at row 12, the last checkpoint covers rows [0, 12).
 	rowsPath := filepath.Join(dir, "rows.ndjson")
 	ckPath := filepath.Join(dir, "ck.ehdl")
-	spec := &CheckpointSpec{Path: ckPath, Every: 4, Fingerprint: "test-run"}
-	file, err := NewNDJSONFile(rowsPath, 0)
+	out := Output{Rows: rowsPath, Checkpoint: ckPath, Every: 4, Fingerprint: "test-run"}
+	run, err := OpenRun(out, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,19 +233,16 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 		}
 		return nil
 	})
-	_, err = RunStream(SliceSource(scenarios), StreamOptions{
-		Workers:    1,
-		ChunkSize:  2,
-		Sink:       MultiSink(file, failer),
-		Checkpoint: spec,
+	// A SIGKILL would lose the unflushed tail; Stream closes the file
+	// instead, leaving rows past the frontier on disk, which resume
+	// must truncate away.
+	_, err = run.Stream(SliceSource(scenarios), StreamOptions{
+		Workers:   1,
+		ChunkSize: 2,
+		Sink:      failer,
 	})
 	if err == nil || !strings.Contains(err.Error(), "simulated crash") {
 		t.Fatalf("interrupted run should fail with the sink error, got %v", err)
-	}
-	// A SIGKILL would lose the unflushed tail; closing instead leaves
-	// rows past the frontier on disk, which resume must truncate away.
-	if err := file.Close(); err != nil {
-		t.Fatal(err)
 	}
 
 	st, err := LoadCheckpoint(ckPath)
@@ -257,20 +254,12 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 	}
 
 	// Resume with a different worker count: identical output anyway.
-	resumed, err := ResumeNDJSONFile(rowsPath, st.Rows-st.Start, st.Rows)
+	resumed, err := OpenRun(out, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := RunStream(SliceSource(scenarios), StreamOptions{
-		Workers:    4,
-		Sink:       resumed,
-		Checkpoint: spec,
-		Resume:     st,
-	})
+	rep, err := resumed.Stream(SliceSource(scenarios), StreamOptions{Workers: 4})
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := resumed.Close(); err != nil {
 		t.Fatal(err)
 	}
 	gotBytes, err := os.ReadFile(rowsPath)
@@ -293,20 +282,15 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 	if st2.Rows != n {
 		t.Fatalf("final checkpoint frontier = %d, want %d", st2.Rows, n)
 	}
-	again, err := ResumeNDJSONFile(rowsPath, st2.Rows-st2.Start, st2.Rows)
+	again, err := OpenRun(out, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep2, err := RunStream(SliceSource(scenarios), StreamOptions{
-		Workers:    2,
-		Sink:       again,
-		Checkpoint: spec,
-		Resume:     st2,
-	})
-	if err != nil {
-		t.Fatal(err)
+	if rows, ok := again.Resumed(); !ok || rows != st2.Rows-st2.Start {
+		t.Fatalf("Resumed() = %d, %v, want %d restored rows", rows, ok, st2.Rows-st2.Start)
 	}
-	if err := again.Close(); err != nil {
+	rep2, err := again.Stream(SliceSource(scenarios), StreamOptions{Workers: 2})
+	if err != nil {
 		t.Fatal(err)
 	}
 	if b, _ := os.ReadFile(rowsPath); !bytes.Equal(b, baseBytes) {
@@ -325,35 +309,34 @@ func TestResumeRejectsMismatchedCheckpoint(t *testing.T) {
 	scenarios := testFleet(t, m)
 	n := len(scenarios)
 	ckPath := filepath.Join(t.TempDir(), "ck.ehdl")
-	spec := &CheckpointSpec{Path: ckPath, Every: 4, Fingerprint: "fp-a"}
-	if _, err := RunStream(SliceSource(scenarios), StreamOptions{Workers: 2, Checkpoint: spec}); err != nil {
-		t.Fatal(err)
-	}
-	st, err := LoadCheckpoint(ckPath)
+	out := Output{Checkpoint: ckPath, Every: 4, Fingerprint: "fp-a"}
+	run, err := OpenRun(out, false)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if _, err := run.Stream(SliceSource(scenarios), StreamOptions{Workers: 2}); err != nil {
+		t.Fatal(err)
+	}
+	alien := out
+	alien.Fingerprint = "fp-b"
 
 	for _, tc := range []struct {
 		name string
+		out  Output
 		opts StreamOptions
 		src  Source
 	}{
-		{"fingerprint", StreamOptions{
-			Checkpoint: &CheckpointSpec{Path: ckPath, Fingerprint: "fp-b"}, Resume: st,
-		}, SliceSource(scenarios)},
-		{"fleet-size", StreamOptions{
-			Checkpoint: spec, Resume: st,
-		}, SliceSource(scenarios[:n-1])},
-		{"partition", StreamOptions{
-			Checkpoint: spec, Resume: st, Partition: Partition{Index: 0, Of: 2},
-		}, SliceSource(scenarios)},
-		{"threshold", StreamOptions{
-			Checkpoint: spec, Resume: st, ExactPercentiles: 7,
-		}, SliceSource(scenarios)},
+		{"fingerprint", alien, StreamOptions{}, SliceSource(scenarios)},
+		{"fleet-size", out, StreamOptions{}, SliceSource(scenarios[:n-1])},
+		{"partition", out, StreamOptions{Partition: Partition{Index: 0, Of: 2}}, SliceSource(scenarios)},
+		{"threshold", out, StreamOptions{ExactPercentiles: 7}, SliceSource(scenarios)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := RunStream(tc.src, tc.opts); !errors.Is(err, ErrCheckpointMismatch) {
+			run, err := OpenRun(tc.out, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := run.Stream(tc.src, tc.opts); !errors.Is(err, ErrCheckpointMismatch) {
 				t.Fatalf("err = %v, want ErrCheckpointMismatch", err)
 			}
 		})
@@ -367,31 +350,31 @@ func runShard(t *testing.T, scenarios []Scenario, part Partition, dir, fingerpri
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	start, _ := part.Range(len(scenarios))
-	sink, err := NewNDJSONFile(filepath.Join(dir, ShardRowsFile), start)
+	out := ShardDir(dir)
+	out.Fingerprint = fingerprint
+	run, err := OpenRun(out, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := RunStream(SliceSource(scenarios), StreamOptions{
-		Workers:   2,
-		Sink:      sink,
-		Partition: part,
-		Checkpoint: &CheckpointSpec{
-			Path:        filepath.Join(dir, ShardMetaFile),
-			Fingerprint: fingerprint,
-		},
-	})
+	rep, err := run.Stream(SliceSource(scenarios), StreamOptions{Workers: 2, Partition: part})
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sink.Close(); err != nil {
 		t.Fatal(err)
 	}
 	return rep
 }
 
+// readRows returns the row file MergeDir wrote into dir.
+func readRows(t *testing.T, dir string) []byte {
+	t.Helper()
+	b, err := os.ReadFile(ShardDir(dir).Rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
 // TestPartitionShardsMergeBitIdentical: k sharded runs merged by
-// MergeShards must reproduce the single-process NDJSON and report
+// MergeDir must reproduce the single-process NDJSON and report
 // bit-identically — including splits with empty shards — and broken
 // shard sets must be rejected with typed errors.
 func TestPartitionShardsMergeBitIdentical(t *testing.T) {
@@ -423,11 +406,12 @@ func TestPartitionShardsMergeBitIdentical(t *testing.T) {
 		runShard(t, scenarios, Partition{Index: i, Of: of}, dirs[i], "fp")
 	}
 
-	var merged bytes.Buffer
-	rep, err := MergeShards(&merged, []string{dirs[2], dirs[0], dirs[3], dirs[1]}) // any order
+	mergedDir := filepath.Join(dir, "merged")
+	rep, err := MergeDir(mergedDir, []string{dirs[2], dirs[0], dirs[3], dirs[1]}, nil) // any order
 	if err != nil {
 		t.Fatal(err)
 	}
+	merged := bytes.NewBuffer(readRows(t, mergedDir))
 	if !bytes.Equal(merged.Bytes(), baseBytes) {
 		t.Fatalf("merged NDJSON differs from single-process run (%d vs %d bytes)", merged.Len(), len(baseBytes))
 	}
@@ -455,11 +439,12 @@ func TestPartitionShardsMergeBitIdentical(t *testing.T) {
 		tinyDirs[i] = filepath.Join(dir, fmt.Sprintf("tiny%d", i))
 		runShard(t, tiny, Partition{Index: i, Of: 5}, tinyDirs[i], "fp-tiny")
 	}
-	var tinyMerged bytes.Buffer
-	tinyGot, err := MergeShards(&tinyMerged, tinyDirs)
+	tinyMergedDir := filepath.Join(dir, "tiny-merged")
+	tinyGot, err := MergeDir(tinyMergedDir, tinyDirs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	tinyMerged := bytes.NewBuffer(readRows(t, tinyMergedDir))
 	if b, _ := os.ReadFile(tinyBase); !bytes.Equal(tinyMerged.Bytes(), b) {
 		t.Fatal("empty-shard merge NDJSON differs")
 	}
@@ -468,22 +453,19 @@ func TestPartitionShardsMergeBitIdentical(t *testing.T) {
 	}
 
 	t.Run("missing-shard", func(t *testing.T) {
-		var buf bytes.Buffer
-		if _, err := MergeShards(&buf, []string{dirs[0], dirs[1], dirs[3]}); !errors.Is(err, ErrShardLayout) {
+		if _, err := MergeDir(t.TempDir(), []string{dirs[0], dirs[1], dirs[3]}, nil); !errors.Is(err, ErrShardLayout) {
 			t.Fatalf("err = %v, want ErrShardLayout", err)
 		}
 	})
 	t.Run("duplicate-shard", func(t *testing.T) {
-		var buf bytes.Buffer
-		if _, err := MergeShards(&buf, append([]string{dirs[1]}, dirs...)); !errors.Is(err, ErrShardLayout) {
+		if _, err := MergeDir(t.TempDir(), append([]string{dirs[1]}, dirs...), nil); !errors.Is(err, ErrShardLayout) {
 			t.Fatalf("err = %v, want ErrShardLayout", err)
 		}
 	})
 	t.Run("mismatched-shard", func(t *testing.T) {
 		alien := filepath.Join(dir, "alien")
 		runShard(t, scenarios, Partition{Index: 1, Of: of}, alien, "other-fp")
-		var buf bytes.Buffer
-		if _, err := MergeShards(&buf, []string{dirs[0], alien, dirs[2], dirs[3]}); !errors.Is(err, ErrShardMismatch) {
+		if _, err := MergeDir(t.TempDir(), []string{dirs[0], alien, dirs[2], dirs[3]}, nil); !errors.Is(err, ErrShardMismatch) {
 			t.Fatalf("err = %v, want ErrShardMismatch", err)
 		}
 	})
@@ -500,8 +482,7 @@ func TestPartitionShardsMergeBitIdentical(t *testing.T) {
 		if err := st.write(filepath.Join(stale, ShardMetaFile)); err != nil {
 			t.Fatal(err)
 		}
-		var buf bytes.Buffer
-		if _, err := MergeShards(&buf, []string{dirs[0], stale, dirs[2], dirs[3]}); !errors.Is(err, ErrShardIncomplete) {
+		if _, err := MergeDir(t.TempDir(), []string{dirs[0], stale, dirs[2], dirs[3]}, nil); !errors.Is(err, ErrShardIncomplete) {
 			t.Fatalf("err = %v, want ErrShardIncomplete", err)
 		}
 	})
@@ -518,8 +499,7 @@ func TestPartitionShardsMergeBitIdentical(t *testing.T) {
 		if err := os.WriteFile(filepath.Join(clone, ShardRowsFile), rows[:cut+1], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		var buf bytes.Buffer
-		if _, err := MergeShards(&buf, []string{dirs[0], clone, dirs[2], dirs[3]}); !errors.Is(err, ErrShardRows) {
+		if _, err := MergeDir(t.TempDir(), []string{dirs[0], clone, dirs[2], dirs[3]}, nil); !errors.Is(err, ErrShardRows) {
 			t.Fatalf("err = %v, want ErrShardRows", err)
 		}
 	})
@@ -592,7 +572,7 @@ func TestResumeNDJSONFile(t *testing.T) {
 	}
 
 	// Keep 3 of the 5 rows, then re-append rows 3 and 4: byte-identical.
-	r, err := ResumeNDJSONFile(path, 3, 3)
+	r, err := resumeNDJSONFile(path, 3, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -609,7 +589,7 @@ func TestResumeNDJSONFile(t *testing.T) {
 		t.Fatalf("truncate+reappend changed the file:\n%q\nvs\n%q", got, full)
 	}
 
-	if _, err := ResumeNDJSONFile(path, 10, 10); !errors.Is(err, ErrResumeRows) {
+	if _, err := resumeNDJSONFile(path, 10, 10); !errors.Is(err, ErrResumeRows) {
 		t.Fatalf("short file: err = %v, want ErrResumeRows", err)
 	}
 }

@@ -1,17 +1,17 @@
 package fleet
 
 // Merging shard artifacts back into the single-process result. A
-// shard directory is the self-describing output of one partitioned
-// run: the final checkpoint (ShardMetaFile, Rows == End) next to the
-// shard's ordered NDJSON rows (ShardRowsFile). MergeShards folds k of
-// them into the report a single-process run over the whole fleet
-// would have produced — bit-identically, because the aggregator is a
-// function of the observed multiset alone — and concatenates the row
-// files in device order into the byte-identical whole-fleet NDJSON
-// stream. Shards from different runs (fingerprint, fleet size or
-// threshold drift), incomplete shards, and sets that do not tile the
-// fleet exactly are rejected with typed errors before any output is
-// written.
+// shard directory (ShardDir) is the self-describing output of one
+// partitioned DurableRun: the final checkpoint (ShardMetaFile,
+// Rows == End) next to the shard's ordered NDJSON rows
+// (ShardRowsFile). MergeDir folds k of them into the report a
+// single-process run over the whole fleet would have produced —
+// bit-identically, because the aggregator is a function of the
+// observed multiset alone — and concatenates the row files in device
+// order into the byte-identical whole-fleet NDJSON file. Shards from
+// different runs (fingerprint, fleet size or threshold drift),
+// incomplete shards, and sets that do not tile the fleet exactly are
+// rejected with typed errors before any output is created.
 
 import (
 	"bytes"
@@ -60,28 +60,17 @@ func LoadShard(dir string) (*CheckpointState, error) {
 	return st, nil
 }
 
-// MergeShards folds the shard directories into the whole-fleet
-// report and writes the concatenated NDJSON rows (in global device
-// order) to rows. The shard set must tile [0, fleet size) exactly;
-// any grouping that does — the usual i/N split, or shards from
-// different N as long as the ranges fit — is accepted, everything
-// else rejected with a typed error before a byte of output is
-// written. The merged report is bit-identical to a single-process
-// run's (host time aside).
-func MergeShards(rows io.Writer, dirs []string) (Report, error) {
-	return MergeShardsWith(rows, dirs, MergeOptions{})
-}
-
-// MergeOptions tunes MergeShardsWith.
-type MergeOptions struct {
-	// Clock supplies the host time for Report.HostSeconds; nothing
-	// merged depends on it (nil: SystemClock).
-	Clock Clock
-}
-
-// MergeShardsWith is MergeShards with an injectable host clock.
-func MergeShardsWith(rows io.Writer, dirs []string, opts MergeOptions) (Report, error) {
-	clock := orClock(opts.Clock)
+// MergeDir folds the shard directories into the whole-fleet report
+// and writes the concatenated NDJSON rows (in global device order) to
+// ShardDir(out).Rows, creating out if needed. The shard set must tile
+// [0, fleet size) exactly; any grouping that does — the usual i/N
+// split, or shards from different N as long as the ranges fit — is
+// accepted, everything else rejected with a typed error before the
+// row file is created. The merged report is bit-identical to a
+// single-process run's (host time aside, read from clock; nil:
+// SystemClock).
+func MergeDir(out string, dirs []string, clock Clock) (Report, error) {
+	clock = orClock(clock)
 	start := clock.Now()
 	if len(dirs) == 0 {
 		return Report{}, fmt.Errorf("fleet: no shard directories to merge")
@@ -134,10 +123,23 @@ func MergeShardsWith(rows io.Writer, dirs []string, opts MergeOptions) (Report, 
 		}
 		agg.Merge(a)
 	}
+	if err := os.MkdirAll(out, 0o755); err != nil {
+		return Report{}, fmt.Errorf("fleet: %w", err)
+	}
+	path := filepath.Join(out, ShardRowsFile)
+	f, err := os.Create(path)
+	if err != nil {
+		return Report{}, fmt.Errorf("fleet: %w", err)
+	}
+	defer f.Close()
 	for _, s := range shards {
-		if err := copyShardRows(rows, s.dir, s.st.End-s.st.Start); err != nil {
+		// copyShardRows already copies in 1 MiB blocks: f needs no buffer.
+		if err := copyShardRows(f, s.dir, s.st.End-s.st.Start); err != nil {
 			return Report{}, err
 		}
+	}
+	if err := f.Close(); err != nil {
+		return Report{}, fmt.Errorf("fleet: writing %s: %w", path, err)
 	}
 	rep := agg.Report()
 	rep.HostSeconds = clock.Now().Sub(start).Seconds()

@@ -10,11 +10,11 @@ package fleet
 // NDJSONFile owns a file: it buffers, implements Flusher (buffer
 // flush + fsync, which checkpointing calls before every write), and
 // can reopen an interrupted run's file truncated back to the last
-// checkpointed row boundary (ResumeNDJSONFile) so a resumed run
-// appends exactly where the checkpoint says the frontier is. Both
-// enforce the Sink ordering contract: a row that is not exactly the
-// next expected index is an error, so an out-of-order regression
-// aborts the run instead of silently corrupting the output.
+// checkpointed row boundary, so a resumed DurableRun appends exactly
+// where the checkpoint says the frontier is. Both enforce the Sink
+// ordering contract: a row that is not exactly the next expected
+// index is an error, so an out-of-order regression aborts the run
+// instead of silently corrupting the output.
 
 import (
 	"bufio"
@@ -121,13 +121,15 @@ var ErrResumeRows = errors.New("NDJSON file is behind the checkpoint")
 // buffered writes, Flush = buffer flush + fsync (called by RunStream
 // before every checkpoint write), ordering-checked like NDJSONSink,
 // and safe for a concurrent Flush during delivery (it locks
-// internally). Close flushes and closes the file.
+// internally). Close flushes and closes the file; a Flush or Close
+// after Close is a no-op.
 type NDJSONFile struct {
-	mu   sync.Mutex
-	f    *os.File
-	bw   *bufio.Writer
-	enc  *json.Encoder
-	next int
+	mu     sync.Mutex
+	f      *os.File
+	bw     *bufio.Writer
+	enc    *json.Encoder
+	next   int
+	closed bool
 
 	// TagMemo is NDJSONSink.TagMemo; leave it off for output that
 	// must be byte-identical across memo on/off, shards and resumes.
@@ -146,13 +148,13 @@ func NewNDJSONFile(path string, start int) (*NDJSONFile, error) {
 	return newNDJSONFile(f, start), nil
 }
 
-// ResumeNDJSONFile reopens the NDJSON file of an interrupted run and
+// resumeNDJSONFile reopens the NDJSON file of an interrupted run and
 // truncates it back to exactly keep rows — the checkpoint's frontier.
 // (The file may hold more: rows flushed after the last checkpoint
 // write are simply discarded and re-simulated.) The returned sink
 // expects the first row at global index next. A file holding fewer
 // than keep complete rows fails with ErrResumeRows.
-func ResumeNDJSONFile(path string, keep, next int) (*NDJSONFile, error) {
+func resumeNDJSONFile(path string, keep, next int) (*NDJSONFile, error) {
 	f, err := os.OpenFile(path, os.O_RDWR, 0)
 	if err != nil {
 		return nil, fmt.Errorf("fleet: %w", err)
@@ -200,21 +202,35 @@ func (s *NDJSONFile) Consume(i int, r Result) error {
 // runs outside the sink lock — concurrent Consume calls keep
 // streaming while the disk syncs; their rows are past the checkpoint
 // frontier anyway, and whether the sync happens to cover them is
-// irrelevant (resume truncates back to the frontier).
+// irrelevant (resume truncates back to the frontier). A Close landing
+// during the unlocked fsync has already written every row, so its
+// closed-file error is no failure (checkpoint flushes never race
+// Close, which comes after RunStream returns).
 func (s *NDJSONFile) Flush() error {
 	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		return nil
+	}
 	err := s.bw.Flush()
 	s.mu.Unlock()
 	if err != nil {
 		return err
 	}
-	return s.f.Sync()
+	if err := s.f.Sync(); err != nil && !errors.Is(err, os.ErrClosed) {
+		return err
+	}
+	return nil
 }
 
 // Close flushes and closes the file.
 func (s *NDJSONFile) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.closed {
+		return nil
+	}
+	s.closed = true
 	if err := s.bw.Flush(); err != nil {
 		s.f.Close()
 		return err

@@ -8,11 +8,11 @@ package fleet
 // bounded reorder window. A committer folds finished chunks back
 // into global order, and its contiguous commit frontier — together
 // with the aggregator snapshot and the sink's delivered-row index —
-// is what StreamOptions.Checkpoint persists and StreamOptions.Resume
-// restarts from. StreamOptions.Partition restricts a run to one
-// device range of the fleet (global indices preserved), which is the
-// multi-process sharding substrate (see checkpoint.go and merge.go).
-// fleet.Run is a thin wrapper that attaches a collecting sink.
+// is what a DurableRun checkpoints and resumes from (see run.go).
+// StreamOptions.Partition restricts a run to one device range of the
+// fleet (global indices preserved), which is the multi-process
+// sharding substrate (see checkpoint.go and merge.go). fleet.Run is a
+// thin wrapper that attaches a collecting sink.
 
 import (
 	"context"
@@ -155,8 +155,6 @@ type StreamOptions struct {
 	// (committed-so-far, partition size), counting checkpoint-restored
 	// rows as already done.
 	Progress func(done, total int)
-	// ProgressEvery is the ticker interval (<= 0: 2s).
-	ProgressEvery time.Duration
 	// Memo, when set, dedups identical device runs: workers consult
 	// the content-addressed memo before simulating and replay cached
 	// outcomes (see internal/fleet/memo). Rows and report are
@@ -168,26 +166,8 @@ type StreamOptions struct {
 	// the fleet (zero value: the whole fleet). Global indices are
 	// preserved — the sink sees exactly the (i, row) pairs a
 	// whole-fleet run would produce for the range — so k shards'
-	// outputs concatenate and merge bit-identically (see MergeShards).
+	// outputs concatenate and merge bit-identically (see MergeDir).
 	Partition Partition
-	// Checkpoint, when set, persists the commit frontier (aggregator
-	// snapshot + delivered-row index) to Checkpoint.Path atomically
-	// every Checkpoint.Every rows and once more, synchronously, on
-	// completion. Periodic writes happen on an async writer that
-	// overlaps disk latency with simulation (newest frontier wins if
-	// writes fall behind), and if the Sink implements Flusher it is
-	// flushed before every write — so a SIGKILL at any point leaves a
-	// checkpoint whose frontier is covered by the sink's durable
-	// output.
-	Checkpoint *CheckpointSpec
-	// Resume, when set, seeds the run from a loaded checkpoint:
-	// simulation continues at its row frontier with its restored
-	// aggregator state. The state must match this run — fleet size,
-	// partition, exact-percentile threshold, and (when Checkpoint is
-	// set) its fingerprint — or the run fails with
-	// ErrCheckpointMismatch. The Sink must already be positioned at
-	// the frontier (see ResumeNDJSONFile).
-	Resume *CheckpointState
 	// ChunkSize overrides DefaultChunkSize (<= 0: default).
 	ChunkSize int
 	// Context, when set, cancels an in-flight run: workers stop at the
@@ -352,14 +332,14 @@ func (w *ckptWriter) drain() (last int, wrote bool, err error) {
 // committed aggregator holds exactly that multiset — the invariant
 // that makes each CheckpointState consistent and resume exact.
 type committer struct {
-	spec       *CheckpointSpec
+	ck         *checkpointing
 	state      CheckpointState // identity template; Rows/AggSnap filled per write
 	committed  *Agg
 	rows       int               // commit frontier: rows [state.Start, rows) are committed
 	lastQueued int               // frontier of the most recently queued checkpoint
 	pending    map[int]chunkDone // parked chunks, keyed by start index
 	flusher    Flusher
-	writer     *ckptWriter // nil unless spec is set and work remains
+	writer     *ckptWriter // nil unless ck is set and work remains
 	fail       func()      // aborts dispatch after a checkpoint failure
 	err        error
 }
@@ -382,7 +362,7 @@ func (c *committer) run(commits <-chan chunkDone) {
 			c.committed.Merge(nxt.agg)
 			c.rows = nxt.end
 		}
-		if c.spec != nil && c.rows-c.lastQueued >= c.spec.every() {
+		if c.ck != nil && c.rows-c.lastQueued >= c.ck.every {
 			if err := c.queueCheckpoint(); err != nil {
 				c.err = err
 				if c.fail != nil {
@@ -431,8 +411,8 @@ func (c *committer) writeLoop() {
 			st := c.state
 			st.Rows = job.rows
 			st.AggSnap = job.snap
-			if werr := st.write(c.spec.Path); werr != nil {
-				err = fmt.Errorf("fleet: write checkpoint %s: %w", c.spec.Path, werr)
+			if werr := st.write(c.ck.path); werr != nil {
+				err = fmt.Errorf("fleet: write checkpoint %s: %w", c.ck.path, werr)
 			}
 		}
 		c.writer.mu.Lock()
@@ -475,8 +455,8 @@ func (c *committer) writeCheckpoint() error {
 	st := c.state
 	st.Rows = c.rows
 	st.AggSnap = snap
-	if err := st.write(c.spec.Path); err != nil {
-		return fmt.Errorf("fleet: write checkpoint %s: %w", c.spec.Path, err)
+	if err := st.write(c.ck.path); err != nil {
+		return fmt.Errorf("fleet: write checkpoint %s: %w", c.ck.path, err)
 	}
 	return nil
 }
@@ -497,6 +477,19 @@ func (c *committer) writeCheckpoint() error {
 // covers restored and newly simulated rows alike, bit-identical to
 // the uninterrupted run's.
 func RunStream(src Source, opts StreamOptions) (Report, error) {
+	return runStream(src, opts, nil)
+}
+
+// runStream is RunStream for a DurableRun. A non-nil ck persists the
+// commit frontier to ck.path every ck.every rows (on the async
+// ckptWriter, flushing a Flusher sink first, so a SIGKILL at any point
+// leaves a checkpoint covered by the sink's durable output) and once
+// more on completion. ck.resume, when set, must match this run —
+// fingerprint, fleet size, partition, exact-percentile threshold —
+// or the run fails with ErrCheckpointMismatch; otherwise it continues
+// at the frontier with the restored aggregator, the Sink already
+// positioned there.
+func runStream(src Source, opts StreamOptions, ck *checkpointing) (Report, error) {
 	clock := orClock(opts.Clock)
 	ctx := opts.Context
 	if ctx == nil {
@@ -516,12 +509,9 @@ func RunStream(src Source, opts StreamOptions) (Report, error) {
 
 	base := pstart
 	committed := NewAgg(threshold)
-	if st := opts.Resume; st != nil {
-		fp := st.Fingerprint
-		if opts.Checkpoint != nil {
-			fp = opts.Checkpoint.Fingerprint
-		}
-		if err := st.compatible(fp, n, part, threshold); err != nil {
+	if ck != nil && ck.resume != nil {
+		st := ck.resume
+		if err := st.compatible(ck.fingerprint, n, part, threshold); err != nil {
 			return Report{}, err
 		}
 		restored, err := RestoreAgg(st.AggSnap)
@@ -538,7 +528,7 @@ func RunStream(src Source, opts StreamOptions) (Report, error) {
 
 	flusher, _ := opts.Sink.(Flusher)
 	cm := &committer{
-		spec:       opts.Checkpoint,
+		ck:         ck,
 		committed:  committed,
 		rows:       base,
 		lastQueued: base,
@@ -553,8 +543,8 @@ func RunStream(src Source, opts StreamOptions) (Report, error) {
 		End:       pend,
 		Threshold: threshold,
 	}
-	if opts.Checkpoint != nil {
-		cm.state.Fingerprint = opts.Checkpoint.Fingerprint
+	if ck != nil {
+		cm.state.Fingerprint = ck.fingerprint
 	}
 
 	var win *reorder
@@ -605,7 +595,7 @@ func RunStream(src Source, opts StreamOptions) (Report, error) {
 			}()
 		}
 
-		if cm.spec != nil {
+		if ck != nil {
 			cm.writer = newCkptWriter()
 			go cm.writeLoop()
 		}
@@ -731,7 +721,7 @@ func RunStream(src Source, opts StreamOptions) (Report, error) {
 		if ckErr != nil {
 			return Report{}, ckErr
 		}
-		if opts.Checkpoint != nil {
+		if ck != nil {
 			// Land one final checkpoint at the commit frontier: rows
 			// [Start, frontier) are aggregated, delivered and about to be
 			// flushed, so a cancelled run resumes exactly like a crashed
@@ -756,7 +746,7 @@ func RunStream(src Source, opts StreamOptions) (Report, error) {
 		return Report{}, ckErr
 	}
 
-	if opts.Checkpoint != nil && !(ckWrote && ckLast == cm.rows) {
+	if ck != nil && !(ckWrote && ckLast == cm.rows) {
 		// Final checkpoint, written synchronously: frontier ==
 		// partition end, so the file doubles as the shard artifact's
 		// meta and a resume of a completed run is a no-op reproducing
@@ -782,6 +772,9 @@ func RunStream(src Source, opts StreamOptions) (Report, error) {
 	return rep, nil
 }
 
+// progressEvery is the progress ticker interval.
+const progressEvery = 2 * time.Second
+
 // startProgress runs the optional progress ticker; the returned stop
 // function is idempotent-enough for the single call RunStream makes.
 // offset counts rows already committed before this run (a resumed
@@ -790,16 +783,12 @@ func startProgress(done *atomic.Int64, offset, total int, opts StreamOptions) fu
 	if opts.Progress == nil {
 		return func() {}
 	}
-	every := opts.ProgressEvery
-	if every <= 0 {
-		every = 2 * time.Second
-	}
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		t := time.NewTicker(every)
+		t := time.NewTicker(progressEvery)
 		defer t.Stop()
 		for {
 			select {

@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"ehdl/internal/cli"
+	"ehdl/internal/fleet"
 )
 
 func TestAPIErrorContract(t *testing.T) {
@@ -217,7 +218,7 @@ func FuzzJobRequest(f *testing.F) {
 		if _, err := cli.DecodeScenarioFile(bytes.NewReader(req.Scenario)); err != nil {
 			t.Fatalf("accepted envelope with unloadable scenario: %v (%q)", err, body)
 		}
-		if _, err := ParsePartition(req.Partition); err != nil {
+		if _, err := fleet.ParsePartition(req.Partition); err != nil {
 			t.Fatalf("accepted envelope with bad partition: %v (%q)", err, body)
 		}
 		if req.Devices < 0 || req.Workers < 0 || req.ChunkSize < 0 || req.CheckpointEvery < 0 {

@@ -8,12 +8,14 @@
 // would have produced — byte for byte. What the service adds is
 // multiplexing and survival: all jobs draw simulation slots from one
 // bounded fleet.WorkerPool, share one content-addressed run memo and
-// one model-artifact cache, checkpoint their commit frontiers so a
-// restarted daemon resumes in-flight jobs, and cancel cleanly (a
-// DELETE aborts the run at its frontier; a graceful drain re-queues
-// running jobs for the next process). Partitioned jobs write shard
-// artifacts, and the merge endpoint folds completed shard jobs back
-// into the whole-fleet rows and report with fleet.MergeShards.
+// one model-artifact cache, and cancel cleanly (a DELETE aborts the
+// run at its frontier; a graceful drain re-queues running jobs for
+// the next process). Each job is a fleet.DurableRun over its
+// directory's shard layout (fleet.ShardDir), opened with resume on,
+// so a restarted daemon continues in-flight jobs from their
+// checkpoints, and a completed partitioned job's directory is a shard
+// artifact the merge endpoint folds back into the whole-fleet rows
+// and report with fleet.MergeDir.
 //
 // Determinism discipline matches the rest of the repo: the only host
 // clock is the injectable fleet.Clock (wall time never influences
@@ -22,7 +24,6 @@
 package fleetd
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"errors"
@@ -72,8 +73,6 @@ type Config struct {
 	// Clock supplies host time for progress events and report host
 	// seconds (nil: fleet.SystemClock). Nothing simulated reads it.
 	Clock fleet.Clock
-	// ProgressEvery is the progress-event tick (<= 0: RunStream's 2s).
-	ProgressEvery time.Duration
 }
 
 // Server is the fleet service: job store, scheduler and shared caches.
@@ -84,7 +83,6 @@ type Server struct {
 	maxActive       int
 	maxBody         int64
 	checkpointEvery int
-	progressEvery   time.Duration
 	clock           fleet.Clock
 	start           time.Time
 
@@ -118,7 +116,6 @@ func New(cfg Config) (*Server, error) {
 		maxActive:       cfg.MaxActive,
 		maxBody:         cfg.MaxBody,
 		checkpointEvery: cfg.CheckpointEvery,
-		progressEvery:   cfg.ProgressEvery,
 		clock:           clock,
 		start:           clock.Now(),
 		pool:            fleet.NewWorkerPool(cfg.Pool),
@@ -328,7 +325,7 @@ func (s *Server) executeJob(j *Job, ctx context.Context) error {
 	}
 	n := src.Len()
 
-	part, err := ParsePartition(meta.Partition)
+	part, err := fleet.ParsePartition(meta.Partition)
 	if err != nil {
 		return err
 	}
@@ -343,30 +340,17 @@ func (s *Server) executeJob(j *Job, ctx context.Context) error {
 		memoOn = *meta.Memo
 	}
 
-	var resume *fleet.CheckpointState
-	st, err := fleet.LoadCheckpoint(j.ckptPath())
-	switch {
-	case errors.Is(err, fs.ErrNotExist):
-	case err != nil:
-		return err
-	default:
-		resume = st
+	out := fleet.ShardDir(j.dir)
+	out.Every = meta.CheckpointEvery
+	if out.Every <= 0 {
+		out.Every = s.checkpointEvery
 	}
-
-	var sink *fleet.NDJSONFile
-	if resume != nil {
-		sink, err = fleet.ResumeNDJSONFile(j.rowsPath(), resume.Rows-resume.Start, resume.Rows)
-	} else {
-		sink, err = fleet.NewNDJSONFile(j.rowsPath(), pstart)
-	}
+	out.Fingerprint = fingerprint
+	run, err := fleet.OpenRun(out, true)
 	if err != nil {
 		return err
 	}
-
-	resumed := 0
-	if resume != nil {
-		resumed = resume.Rows - resume.Start
-	}
+	resumed, _ := run.Resumed()
 	if err := j.setState(StateRunning, func(m *jobMeta) {
 		m.Fleet = n
 		m.Start = pstart
@@ -374,55 +358,46 @@ func (s *Server) executeJob(j *Job, ctx context.Context) error {
 		m.Resumed = resumed
 		m.Fingerprint = fingerprint
 	}); err != nil {
-		sink.Close()
+		run.Close()
 		return err
 	}
 	j.mu.Lock()
-	j.sink = sink
+	j.run = run
 	j.rows = resumed
 	j.mu.Unlock()
 
 	track := cli.ProgressTracker(s.clock, resumed)
 	opts := fleet.StreamOptions{
-		Workers:       meta.Workers,
-		ChunkSize:     meta.ChunkSize,
-		Partition:     part,
-		Pool:          s.pool,
-		Context:       ctx,
-		Clock:         s.clock,
-		ProgressEvery: s.progressEvery,
-		Sink: fleet.MultiSink(sink, fleet.SinkFunc(func(i int, r fleet.Result) error {
+		Workers:   meta.Workers,
+		ChunkSize: meta.ChunkSize,
+		Partition: part,
+		Pool:      s.pool,
+		Context:   ctx,
+		Clock:     s.clock,
+		Sink: fleet.SinkFunc(func(i int, r fleet.Result) error {
 			j.mu.Lock()
 			j.rows++
 			j.bump()
 			j.mu.Unlock()
 			return nil
-		})),
+		}),
 		Progress: func(done, total int) {
 			ev := track(done, total)
 			j.addEvent(Event{Type: "progress", Progress: &ev})
 		},
-		Checkpoint: &fleet.CheckpointSpec{
-			Path:        j.ckptPath(),
-			Every:       orInt(meta.CheckpointEvery, s.checkpointEvery),
-			Fingerprint: fingerprint,
-		},
-		Resume: resume,
 	}
 	if memoOn {
 		opts.Memo = s.memo
 	}
 
-	rep, runErr := fleet.RunStream(src, opts)
-	closeErr := sink.Close()
+	rep, err := run.Stream(src, opts)
+	// Drop the closed run so a finished job does not pin its row
+	// buffer; a follower that grabbed it first flushes a no-op.
 	j.mu.Lock()
-	j.sink = nil
+	j.run = nil
 	j.mu.Unlock()
-	if runErr != nil {
-		return runErr
-	}
-	if closeErr != nil {
-		return fmt.Errorf("fleetd: close rows: %w", closeErr)
+	if err != nil {
+		return err
 	}
 	return j.setState(StateDone, func(m *jobMeta) {
 		m.Report = fleet.RenderReport(rep)
@@ -509,7 +484,7 @@ func (s *Server) snapshotJobs() []*Job {
 
 // merge folds the named completed jobs' shard artifacts into a new,
 // immediately-terminal merge job whose row file is the whole-fleet
-// NDJSON stream (fleet.MergeShards rejects mismatched or incomplete
+// NDJSON stream (fleet.MergeDir rejects mismatched or incomplete
 // shard sets before a byte is written).
 func (s *Server) merge(ids []string) (*Job, error) {
 	s.mu.Lock()
@@ -545,7 +520,7 @@ func (s *Server) merge(ids []string) (*Job, error) {
 	s.jobs[id] = j
 	s.mu.Unlock()
 
-	rep, rows, err := mergeInto(dir, dirs, s.clock)
+	rep, err := fleet.MergeDir(dir, dirs, s.clock)
 	if err != nil {
 		if serr := j.setState(StateFailed, func(m *jobMeta) { m.Error = err.Error() }); serr != nil {
 			return nil, serr
@@ -554,31 +529,8 @@ func (s *Server) merge(ids []string) (*Job, error) {
 	}
 	return j, j.setState(StateDone, func(m *jobMeta) {
 		m.Report = fleet.RenderReport(rep)
-		m.Rows = rows
+		m.Rows = rep.Devices
 	})
-}
-
-// mergeInto runs MergeShards over the shard dirs, writing the merged
-// row file into dir.
-func mergeInto(dir string, shardDirs []string, clock fleet.Clock) (fleet.Report, int, error) {
-	f, err := os.Create(filepath.Join(dir, fleet.ShardRowsFile))
-	if err != nil {
-		return fleet.Report{}, 0, fmt.Errorf("fleetd: %w", err)
-	}
-	w := bufio.NewWriterSize(f, 1<<20)
-	rep, err := fleet.MergeShardsWith(w, shardDirs, fleet.MergeOptions{Clock: clock})
-	if err != nil {
-		f.Close()
-		return fleet.Report{}, 0, err
-	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		return fleet.Report{}, 0, fmt.Errorf("fleetd: merged rows: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fleet.Report{}, 0, fmt.Errorf("fleetd: merged rows: %w", err)
-	}
-	return rep, rep.Devices, nil
 }
 
 // Drain stops scheduling and cancels running jobs — each checkpoints
@@ -609,12 +561,4 @@ func (s *Server) Draining() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.draining
-}
-
-// orInt returns a if positive, else b.
-func orInt(a, b int) int {
-	if a > 0 {
-		return a
-	}
-	return b
 }

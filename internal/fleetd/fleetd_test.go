@@ -256,8 +256,8 @@ type refOptions struct {
 }
 
 // referenceRun drives the scenario through the same library path the
-// ehfleet CLI uses — CompileFleetSource + RunStream into an
-// NDJSONFile — and returns the row bytes and rendered report the
+// ehfleet CLI uses — CompileFleetSource + a fleet.DurableRun with a
+// row file — and returns the row bytes and rendered report the
 // daemon must reproduce exactly.
 func referenceRun(t *testing.T, baseDir, scenario string, o refOptions) ([]byte, string) {
 	t.Helper()
@@ -272,9 +272,8 @@ func referenceRun(t *testing.T, baseDir, scenario string, o refOptions) ([]byte,
 	if o.devices > 0 {
 		src = src.Resize(o.devices)
 	}
-	pstart, _ := o.partition.Range(src.Len())
 	rowsPath := filepath.Join(t.TempDir(), "rows.ndjson")
-	sink, err := fleet.NewNDJSONFile(rowsPath, pstart)
+	run, err := fleet.OpenRun(fleet.Output{Rows: rowsPath}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,16 +282,12 @@ func referenceRun(t *testing.T, baseDir, scenario string, o refOptions) ([]byte,
 		ChunkSize: o.chunkSize,
 		Partition: o.partition,
 		Clock:     frozenClock{},
-		Sink:      sink,
 	}
 	if o.memo {
 		opts.Memo = memo.New(0)
 	}
-	rep, err := fleet.RunStream(src, opts)
+	rep, err := run.Stream(src, opts)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sink.Close(); err != nil {
 		t.Fatal(err)
 	}
 	rows, err := os.ReadFile(rowsPath)

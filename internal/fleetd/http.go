@@ -18,7 +18,6 @@ import (
 	"io/fs"
 	"net/http"
 	"os"
-	"strconv"
 	"strings"
 
 	"ehdl/internal/cli"
@@ -269,7 +268,7 @@ func decodeJobRequest(data []byte) (JobRequest, *apiErr) {
 	if _, err := cli.DecodeScenarioFile(bytes.NewReader(req.Scenario)); err != nil {
 		return req, apiError(http.StatusBadRequest, CodeBadScenario, "scenario: %v", err)
 	}
-	if _, err := ParsePartition(req.Partition); err != nil {
+	if _, err := fleet.ParsePartition(req.Partition); err != nil {
 		return req, apiError(http.StatusBadRequest, CodeBadPartition, "%v", err)
 	}
 	if req.Devices < 0 || req.Workers < 0 || req.ChunkSize < 0 || req.CheckpointEvery < 0 {
@@ -277,28 +276,6 @@ func decodeJobRequest(data []byte) (JobRequest, *apiErr) {
 			"devices, workers, chunk_size and checkpoint_every must be >= 0")
 	}
 	return req, nil
-}
-
-// ParsePartition parses a "i/N" shard spec ("" is the whole fleet).
-func ParsePartition(s string) (fleet.Partition, error) {
-	var p fleet.Partition
-	if s == "" {
-		return p, nil
-	}
-	a, b, ok := strings.Cut(s, "/")
-	if ok {
-		var err1, err2 error
-		p.Index, err1 = strconv.Atoi(a)
-		p.Of, err2 = strconv.Atoi(b)
-		ok = err1 == nil && err2 == nil
-	}
-	if !ok {
-		return p, fmt.Errorf("partition must be i/N (e.g. 2/8), got %q", s)
-	}
-	if p.Of < 1 || p.Index < 0 || p.Index >= p.Of {
-		return p, fmt.Errorf("partition %s out of range (want 0 <= i < N)", s)
-	}
-	return p, nil
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
@@ -481,9 +458,6 @@ func copyNewRows(w io.Writer, path string, off *int64) (written int64, err error
 		*off += int64(cut + 1)
 		if err != nil {
 			return written, err
-		}
-		if int64(cut+1) < n {
-			break // stopped at a partial tail
 		}
 	}
 	return written, nil

@@ -4,10 +4,10 @@ package fleetd
 // server's data dir holding the submitted scenario document byte for
 // byte, a small atomically-rewritten metadata file, and the run's
 // durable output — the NDJSON row file and the checkpoint. The output
-// files deliberately use the fleet package's shard names
-// (fleet.ShardRowsFile / fleet.ShardMetaFile): a completed
-// partitioned job's directory IS a valid shard artifact, so the merge
-// endpoint feeds job directories straight into fleet.MergeShards.
+// deliberately uses the fleet package's shard layout (fleet.ShardDir):
+// a completed partitioned job's directory IS a valid shard artifact,
+// so the merge endpoint feeds job directories straight into
+// fleet.MergeDir.
 
 import (
 	"context"
@@ -113,7 +113,7 @@ type Job struct {
 	eventBase  int           // absolute index of events[0]
 	notify     chan struct{} // closed+replaced on every change (broadcast)
 	rows       int           // rows delivered this process (live metric)
-	sink       *fleet.NDJSONFile
+	run        *fleet.DurableRun
 	cancel     context.CancelFunc
 	userCancel bool
 }
@@ -122,8 +122,7 @@ func newJob(id, dir string, meta jobMeta) *Job {
 	return &Job{id: id, dir: dir, meta: meta, notify: make(chan struct{})}
 }
 
-func (j *Job) rowsPath() string     { return filepath.Join(j.dir, fleet.ShardRowsFile) }
-func (j *Job) ckptPath() string     { return filepath.Join(j.dir, fleet.ShardMetaFile) }
+func (j *Job) rowsPath() string     { return fleet.ShardDir(j.dir).Rows }
 func (j *Job) scenarioPath() string { return filepath.Join(j.dir, scenarioFile) }
 
 // bump wakes every waiter. Callers hold j.mu.
@@ -193,15 +192,16 @@ func (j *Job) snapshot() (jobMeta, int) {
 }
 
 // flushRows forces delivered rows to the row file so a streaming
-// reader sees them; a job with no live sink has nothing buffered.
+// reader sees them; a job whose run has not opened, or has already
+// closed, has nothing buffered.
 func (j *Job) flushRows() error {
 	j.mu.Lock()
-	sink := j.sink
+	run := j.run
 	j.mu.Unlock()
-	if sink == nil {
+	if run == nil {
 		return nil
 	}
-	return sink.Flush()
+	return run.Flush()
 }
 
 // writeJobMeta atomically rewrites the job's metadata file.

@@ -21,8 +21,8 @@ func (m *Model) ContentDigest() [32]byte {
 	}
 	h := sha256.New()
 	if err := gob.NewEncoder(h).Encode(m); err != nil {
-		// Model is gob-serializable by construction (SaveFile uses the
-		// same encoding); an in-memory encode cannot fail.
+		// Model is gob-serializable by construction (model artifacts
+		// carry the same encoding); an in-memory encode cannot fail.
 		panic(fmt.Sprintf("quant: hashing model %q: %v", m.Name, err))
 	}
 	var d [32]byte

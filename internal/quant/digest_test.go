@@ -22,10 +22,10 @@ func TestContentDigestStableAcrossRoundTrip(t *testing.T) {
 		t.Fatal("digest not stable on repeat calls")
 	}
 	path := filepath.Join(t.TempDir(), "m.gob")
-	if err := m.SaveFile(path); err != nil {
+	if err := saveArtifact(m, path); err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadFile(path)
+	got, err := loadArtifact(path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,19 +4,18 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
-
-	"ehdl/internal/artifact"
 )
 
 // Model artifacts serialize through internal/artifact's checksummed,
-// versioned container so the CLI tools can train once (radtrain) and
-// deploy many times (aceinfer, ehsim, ehfleet). Save/Load remain the
-// raw gob stream codec (the container's payload format); SaveFile and
-// LoadFile are retained as deprecated wrappers over the container.
+// versioned container (artifact.KindModel; cli.SaveModel and
+// cli.LoadModel for the CLI tools) so a model is trained once
+// (radtrain) and deployed many times (aceinfer, ehsim, ehfleet).
+// Save/Load here are the raw gob stream codec — the container's
+// payload format.
 
 // Save writes the model's raw gob payload to w (no container framing:
-// no magic, version or checksum — prefer artifact.WriteFile via
-// SaveFile/cli.SaveModel for anything that touches a file system).
+// no magic, version or checksum — use artifact.WriteFile or
+// cli.SaveModel for anything that touches a file system).
 func (m *Model) Save(w io.Writer) error {
 	if err := gob.NewEncoder(w).Encode(m); err != nil {
 		return fmt.Errorf("quant: encode model: %w", err)
@@ -29,33 +28,6 @@ func Load(r io.Reader) (*Model, error) {
 	var m Model
 	if err := gob.NewDecoder(r).Decode(&m); err != nil {
 		return nil, fmt.Errorf("quant: decode model: %w", err)
-	}
-	return &m, nil
-}
-
-// SaveFile writes the model to path inside the checksummed artifact
-// container, atomically (temp file + rename — the seed's double
-// f.Close and torn-write window are gone).
-//
-// Deprecated: new code should use internal/cli.SaveModel (CLIs) or
-// artifact.WriteFile(path, artifact.KindModel, m) directly.
-func (m *Model) SaveFile(path string) error {
-	return artifact.WriteFile(path, artifact.KindModel, m)
-}
-
-// LoadFile reads a model artifact from path, verifying the container
-// (magic, version, checksum) and the decoded model's structural
-// consistency before returning it.
-//
-// Deprecated: new code should use internal/cli.LoadModel (CLIs) or
-// artifact.ReadFile(path, artifact.KindModel, &m) plus Validate.
-func LoadFile(path string) (*Model, error) {
-	var m Model
-	if err := artifact.ReadFile(path, artifact.KindModel, &m); err != nil {
-		return nil, err
-	}
-	if err := m.Validate(); err != nil {
-		return nil, fmt.Errorf("model %s: %w", path, err)
 	}
 	return &m, nil
 }

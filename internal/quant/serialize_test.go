@@ -46,13 +46,34 @@ func smallModel(t *testing.T, seed int64) *Model {
 	return m
 }
 
+// saveArtifact writes m to path inside the checksummed model
+// container, as cli.SaveModel does.
+func saveArtifact(m *Model, path string) error {
+	return artifact.WriteFile(path, artifact.KindModel, m)
+}
+
+// loadArtifact reads a model container from path and validates the
+// decoded model, as cli.LoadModel does.
+func loadArtifact(path string) (*Model, error) {
+	var m Model
+	if err := artifact.ReadFile(path, artifact.KindModel, &m); err != nil {
+		return nil, err
+	}
+	if err := m.Validate(); err != nil {
+		return nil, err
+	}
+	return &m, nil
+}
+
+// TestSaveFileLoadFileRoundTrip: a model survives a file round trip
+// through the artifact container unchanged.
 func TestSaveFileLoadFileRoundTrip(t *testing.T) {
 	m := smallModel(t, 3)
 	path := filepath.Join(t.TempDir(), "m.gob")
-	if err := m.SaveFile(path); err != nil {
+	if err := saveArtifact(m, path); err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadFile(path)
+	got, err := loadArtifact(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +83,7 @@ func TestSaveFileLoadFileRoundTrip(t *testing.T) {
 
 	// Save → load → save is bit-identical on disk.
 	path2 := filepath.Join(t.TempDir(), "m2.gob")
-	if err := got.SaveFile(path2); err != nil {
+	if err := saveArtifact(got, path2); err != nil {
 		t.Fatal(err)
 	}
 	b1, err := os.ReadFile(path)
@@ -86,7 +107,7 @@ func TestLoadFileTypedErrors(t *testing.T) {
 	m := smallModel(t, 4)
 	dir := t.TempDir()
 	good := filepath.Join(dir, "good.gob")
-	if err := m.SaveFile(good); err != nil {
+	if err := saveArtifact(m, good); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(good)
@@ -116,7 +137,7 @@ func TestLoadFileTypedErrors(t *testing.T) {
 			if err := os.WriteFile(path, tc.data, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			_, err := LoadFile(path)
+			_, err := loadArtifact(path)
 			if !errors.Is(err, tc.want) {
 				t.Fatalf("err = %v, want %v", err, tc.want)
 			}

@@ -351,6 +351,44 @@ func BenchmarkRecharge(b *testing.B) {
 	}
 }
 
+// BenchmarkCapacitorDraw measures one supply charge, the call every
+// simulated operation makes through device.Consume: a 4-cycle, 0.5 nJ
+// draw at the paper's 16 MHz clock, recharging on brown-out. This is
+// the stage that dominates a memo-off fleet sweep, so ns/op here is
+// ns per draw; it must stay at 0 allocs.
+func BenchmarkCapacitorDraw(b *testing.B) {
+	trace, err := harvest.NewTraceProfile(
+		[]float64{0, 0.05, 0.1, 0.2, 0.3}, []float64{4e-3, 6e-3, 5e-3, 4.5e-3, 4e-3}, true)
+	if err != nil {
+		b.Fatal(err)
+	}
+	profiles := []struct {
+		name string
+		p    harvest.Profile
+	}{
+		{"const", harvest.ConstantProfile{Watts: 2.5e-3}},
+		{"square", harvest.SquareProfile{PeakWatts: 5e-3, Period: 0.1, Duty: 0.5}},
+		{"sine", harvest.SineProfile{PeakWatts: 6e-3, Period: 0.2}},
+		{"trace", trace},
+	}
+	const dt = 4 / 16e6
+	for _, pr := range profiles {
+		b.Run(pr.name, func(b *testing.B) {
+			c, err := harvest.NewCapacitor(harvest.PaperConfig(), pr.p)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if !c.Draw(0.5, dt) {
+					c.Recharge()
+				}
+			}
+		})
+	}
+}
+
 // ffChunkProgram is a Skippable checkpointing workload for the
 // fast-forward benchmark: fixed-cost chunks committed through an
 // NVWord, with the steady-state homogeneity the runner's analytic

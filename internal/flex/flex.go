@@ -112,6 +112,9 @@ type Controller struct {
 	// inter (2·maxK re/im)]. Commits write a prefix; the flags word
 	// says how much is meaningful.
 	state *device.NVDoubleQ15
+	// scratch is host-side staging for packing and unpacking state
+	// prefixes; it models no SRAM and carries no charge.
+	scratch []fixed.Q15
 
 	// Volatile caches, re-derived in Restore (or implicitly zero on a
 	// fresh run). countdown is just a sampling phase; lastPos
@@ -127,7 +130,7 @@ func NewController(d *device.Device, maxK int, cfg Config) (*Controller, error) 
 	if cfg.VWarn <= 0 || cfg.SampleStride <= 0 {
 		return nil, fmt.Errorf("flex: invalid config %+v", cfg)
 	}
-	c := &Controller{cfg: cfg, maxK: maxK}
+	c := &Controller{cfg: cfg, maxK: maxK, scratch: make([]fixed.Q15, hdrWords+3*maxK)}
 	var err error
 	c.state, err = device.NewNVDoubleQ15(d, hdrWords+3*maxK)
 	if err != nil {
@@ -205,7 +208,8 @@ func (c *Controller) Commit(d *device.Device, s Snapshot) {
 	if s.Inter != nil {
 		n = hdrWords + 3*c.maxK
 	}
-	buf := make([]fixed.Q15, n)
+	buf := c.scratch[:n]
+	clear(buf) // absent or short payloads commit zeros
 	w := packCtrl(s)
 	buf[0] = fixed.Q15(uint16(w))
 	buf[1] = fixed.Q15(uint16(w >> 16))
@@ -235,7 +239,7 @@ func (c *Controller) Restore(d *device.Device, pos func(Snapshot) uint64) (Snaps
 	if c.state.PeekSeq() == 0 {
 		return Snapshot{}, false
 	}
-	hdr := make([]fixed.Q15, hdrWords)
+	hdr := c.scratch[:hdrWords]
 	c.state.Load(d, device.CatRestore, hdr)
 	w := uint64(uint16(hdr[0])) | uint64(uint16(hdr[1]))<<16 |
 		uint64(uint16(hdr[2]))<<32 | uint64(uint16(hdr[3]))<<48
@@ -257,7 +261,7 @@ func (c *Controller) LoadAcc(d *device.Device, dst []fixed.Q15) {
 // LoadInter reloads the committed stage intermediate into dst
 // (length ≤ maxK complex values).
 func (c *Controller) LoadInter(d *device.Device, dst []fftfixed.Complex) {
-	buf := make([]fixed.Q15, 2*len(dst))
+	buf := c.scratch[:2*len(dst)]
 	c.state.LoadAt(d, device.CatRestore, hdrWords+c.maxK, buf)
 	unpackComplex(dst, buf)
 }

@@ -221,3 +221,41 @@ func TestZeroMaxKController(t *testing.T) {
 		t.Errorf("element-only controller broken: %+v ok=%v", s, ok)
 	}
 }
+
+// A commit with a shorter accumulator or intermediate than the last
+// one must persist zeros past it, not the last commit's words: the
+// committed words feed the device's persistent-write ledger.
+func TestCommitZeroPadsShortPayload(t *testing.T) {
+	d := newDev()
+	c, err := NewController(d, 8, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fill := func(n int, v fixed.Q15) ([]fixed.Q15, []fftfixed.Complex) {
+		acc := make([]fixed.Q15, n)
+		inter := make([]fftfixed.Complex, n)
+		for i := range acc {
+			acc[i] = v
+			inter[i] = fftfixed.Complex{Re: v, Im: -v}
+		}
+		return acc, inter
+	}
+	acc, inter := fill(8, 0x1111)
+	c.Commit(d, Snapshot{Layer: 1, State: StatePostMPY, Acc: acc, Inter: inter, Pos: 1})
+	acc, inter = fill(4, 0x2222)
+	c.Commit(d, Snapshot{Layer: 1, State: StatePostMPY, Acc: acc, Inter: inter, Pos: 2})
+
+	gotAcc := make([]fixed.Q15, 8)
+	c.LoadAcc(d, gotAcc)
+	gotInter := make([]fftfixed.Complex, 8)
+	c.LoadInter(d, gotInter)
+	for i := range gotAcc {
+		wantAcc, wantInter := fixed.Q15(0), fftfixed.Complex{}
+		if i < 4 {
+			wantAcc, wantInter = 0x2222, fftfixed.Complex{Re: 0x2222, Im: -0x2222}
+		}
+		if gotAcc[i] != wantAcc || gotInter[i] != wantInter {
+			t.Errorf("word %d: acc %#x inter %+v, want %#x %+v", i, gotAcc[i], gotInter[i], wantAcc, wantInter)
+		}
+	}
+}

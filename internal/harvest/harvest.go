@@ -18,6 +18,14 @@
 // rather than a wall-clock search horizon. The seed's fixed-step Euler
 // integrator is retained as RechargeEuler, the oracle the analytic
 // engine is validated against.
+//
+// On-time draws are the simulator's hottest path (one per charged
+// operation), so Draw does the least float work that gives the exact
+// closed-form bits: the profile's Analytic view and the VOff/VMax
+// energies are resolved once in NewCapacitor, the phase advances by
+// plain addition until it wraps, and for square, sine and trace
+// profiles a draw evaluates one cumulative energy, reusing the
+// previous draw's end value as its start.
 package harvest
 
 import (
@@ -190,6 +198,21 @@ type Capacitor struct {
 	cfg     Config
 	profile Profile
 
+	// Resolved once by NewCapacitor so a draw pays no type assertion
+	// and no threshold arithmetic: the profile's Analytic view (nil for
+	// plain Profiles), its cumulative integral (nil unless
+	// EnergyBetween is a difference of cumulatives), and the stored
+	// energies at VOff and VMax.
+	analytic Analytic
+	cum      cumulative
+	floorJ   float64
+	vmaxJ    float64
+	// cumKey and cumVal memoize the last cumulative a draw evaluated:
+	// the bits of its time and cum.cumEnergy there. cumEnergy is pure,
+	// so a matching key is the exact value and needs no invalidation.
+	cumKey uint64
+	cumVal float64
+
 	mode   integrationMode
 	period float64 // profile period (modePeriodic only)
 	phase  float64 // profile phase in [0, period) (modePeriodic only)
@@ -227,7 +250,14 @@ func NewCapacitor(cfg Config, profile Profile) (*Capacitor, error) {
 		profile: profile,
 		energyJ: 0.5 * cfg.CapacitanceF * cfg.VOn * cfg.VOn,
 	}
+	c.floorJ = c.energyAt(cfg.VOff)
+	c.vmaxJ = c.energyAt(cfg.VMax)
 	if ap, ok := profile.(Analytic); ok {
+		c.analytic = ap
+		if cp, ok := profile.(cumulative); ok {
+			c.cum = cp
+			c.cumKey, c.cumVal = math.Float64bits(0), cp.cumEnergy(0)
+		}
 		switch pp, periodic := ap.(Periodic); {
 		case periodic && pp.ProfilePeriod() > 0:
 			c.mode = modePeriodic
@@ -304,15 +334,16 @@ func (c *Capacitor) EnergyJ() float64 { return c.energyJ }
 // while harvesting in parallel. Returns false when the voltage falls
 // below VOff, leaving the store at the brown-out level (the charge
 // below VOff is unusable but still present).
+//
+//ehdl:hotpath
 func (c *Capacitor) Draw(nJ float64, dt float64) bool {
 	c.integrateHarvest(dt)
 	c.nowSec += dt
 	need := nJ * 1e-9
-	floor := c.energyAt(c.cfg.VOff)
-	if c.energyJ-need < floor {
+	if c.energyJ-need < c.floorJ {
 		// Operation could not complete: clamp at the floor; the
 		// device browns out.
-		c.energyJ = floor
+		c.energyJ = c.floorJ
 		return false
 	}
 	c.energyJ -= need
@@ -328,8 +359,8 @@ func (c *Capacitor) Draw(nJ float64, dt float64) bool {
 // horizon, which can misreport a slow-but-charging custom source as
 // dead; implement Analytic to avoid that.
 func (c *Capacitor) Recharge() (float64, bool) {
-	if ap, ok := c.profile.(Analytic); ok {
-		return c.rechargeAnalytic(ap)
+	if c.analytic != nil {
+		return c.rechargeAnalytic(c.analytic)
 	}
 	return c.RechargeEuler(eulerStep, eulerHorizon)
 }
@@ -338,7 +369,11 @@ func (c *Capacitor) Recharge() (float64, bool) {
 // activity: exactly (closed form) for Analytic profiles — anchored on
 // the phase accumulator for periodic profiles and on zero for constant
 // ones, so the arithmetic does not depend on absolute simulated age —
-// in a single power-at-window-start step otherwise.
+// in a single power-at-window-start step otherwise. A window that
+// stays inside the period advances the phase by plain addition, which
+// is what math.Mod returns for 0 <= x < period.
+//
+//ehdl:hotpath
 func (c *Capacitor) integrateHarvest(dt float64) {
 	if dt <= 0 {
 		return
@@ -346,14 +381,18 @@ func (c *Capacitor) integrateHarvest(dt float64) {
 	var gross float64
 	switch c.mode {
 	case modePeriodic:
-		ap := c.profile.(Analytic)
-		gross = ap.EnergyBetween(c.phase, c.phase+dt)
-		c.phase = math.Mod(c.phase+dt, c.period)
+		t1 := c.phase + dt
+		gross = c.energyBetween(c.phase, t1)
+		if t1 < c.period {
+			c.phase = t1
+		} else {
+			c.phase = math.Mod(t1, c.period)
+		}
 	case modeConstant:
-		gross = c.profile.(Analytic).EnergyBetween(0, dt)
+		gross = c.analytic.EnergyBetween(0, dt)
 	default:
-		if ap, ok := c.profile.(Analytic); ok {
-			gross = ap.EnergyBetween(c.nowSec, c.nowSec+dt)
+		if c.analytic != nil {
+			gross = c.energyBetween(c.nowSec, c.nowSec+dt)
 		} else {
 			gross = c.profile.PowerAt(c.nowSec) * dt
 		}
@@ -362,10 +401,29 @@ func (c *Capacitor) integrateHarvest(dt float64) {
 	if c.energyJ < 0 {
 		c.energyJ = 0
 	}
-	if vmax := c.energyAt(c.cfg.VMax); c.energyJ > vmax {
-		c.energyJ = vmax
+	if c.energyJ > c.vmaxJ {
+		c.energyJ = c.vmaxJ
 	}
 	c.cycleHarvestJ += gross
+}
+
+// energyBetween is the profile's EnergyBetween(t0, t1) with the same
+// bits. For cumulative profiles it evaluates only cumEnergy(t1) when
+// t0 is the previous call's t1 — every draw in sequence between
+// recharges and phase wraps — and remembers t1 for the next draw.
+//
+//ehdl:hotpath
+func (c *Capacitor) energyBetween(t0, t1 float64) float64 {
+	if c.cum == nil {
+		return c.analytic.EnergyBetween(t0, t1)
+	}
+	c0 := c.cumVal
+	if math.Float64bits(t0) != c.cumKey {
+		c0 = c.cum.cumEnergy(t0)
+	}
+	c1 := c.cum.cumEnergy(t1)
+	c.cumKey, c.cumVal = math.Float64bits(t1), c1
+	return c1 - c0
 }
 
 // UsableEnergyJ returns the energy budget of one full charge cycle,
@@ -398,11 +456,10 @@ func (c *Capacitor) BootsToComplete(totalJ float64) uint64 {
 // power — and false when the mean power cannot beat the leakage (the
 // store never recharges) or the profile has no analytic mean.
 func (c *Capacitor) SteadyOffSeconds() (float64, bool) {
-	ap, ok := c.profile.(Analytic)
-	if !ok {
+	if c.analytic == nil {
 		return 0, false
 	}
-	net := ap.MeanPower() - c.cfg.LeakageW
+	net := c.analytic.MeanPower() - c.cfg.LeakageW
 	if net <= 0 {
 		return 0, false
 	}

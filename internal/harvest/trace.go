@@ -215,12 +215,17 @@ func (p *TraceProfile) localPower(r float64) float64 {
 	if i < len(p.times) && p.times[i] == r {
 		return p.watts[i]
 	}
-	i-- // r strictly inside segment (i, i+1); i >= 0 since times[0]=0
+	return p.interp(i-1, r) // i-1 >= 0 since times[0]=0
+}
+
+// interp is the linear power at r strictly inside segment (i, i+1).
+func (p *TraceProfile) interp(i int, r float64) float64 {
 	f := (r - p.times[i]) / (p.times[i+1] - p.times[i])
 	return p.watts[i] + (p.watts[i+1]-p.watts[i])*f
 }
 
-// localCum returns ∫ power over [0, r] for r in [0, Duration].
+// localCum returns ∫ power over [0, r] for r in [0, Duration], with
+// one breakpoint search.
 func (p *TraceProfile) localCum(r float64) float64 {
 	i := sort.SearchFloat64s(p.times, r)
 	if i < len(p.times) && p.times[i] == r {
@@ -228,7 +233,7 @@ func (p *TraceProfile) localCum(r float64) float64 {
 	}
 	i--
 	dt := r - p.times[i]
-	return p.cum[i] + 0.5*(p.watts[i]+p.localPower(r))*dt
+	return p.cum[i] + 0.5*(p.watts[i]+p.interp(i, r))*dt
 }
 
 // PowerAt implements Profile.

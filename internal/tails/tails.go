@@ -42,6 +42,9 @@ type Engine struct {
 	// FIR command.
 	bcmState *device.NVDoubleQ15
 	bcmMaxK  int
+	// bcmRow is host-side scratch for packing and unpacking bcmState
+	// rows; it models no SRAM and carries no charge.
+	bcmRow []fixed.Q15
 
 	// SRAM staging for the LEA: one window/row operand buffer, one
 	// weight buffer, and the FIR row accumulators for BCM layers.
@@ -122,6 +125,7 @@ func New(d *device.Device, store *exec.ModelStore, input []fixed.Q15) (*Engine, 
 			return nil, err
 		}
 		e.bcmMaxK = maxK
+		e.bcmRow = make([]fixed.Q15, 2*maxK+3)
 	}
 	if err := d.ReserveFRAM(8); err != nil {
 		return nil, err
@@ -350,7 +354,8 @@ func (e *Engine) bcmElem(d *device.Device, li int, l *quant.QLayer, in, out *dev
 // double-buffered commit.
 func (e *Engine) commitBCMRow(d *device.Device, tag uint64, nextJ int, acc []fixed.Q31) {
 	k := e.bcmMaxK
-	buf := make([]fixed.Q15, 2*k+3)
+	buf := e.bcmRow
+	clear(buf[2*len(acc) : 2*k]) // a narrower layer commits zeros past acc
 	for t, v := range acc {
 		buf[2*t] = fixed.Q15(uint16(uint32(v)))
 		buf[2*t+1] = fixed.Q15(int16(int32(v) >> 16))
@@ -368,7 +373,7 @@ func (e *Engine) restoreBCMRow(d *device.Device, tag uint64, acc []fixed.Q31) in
 		return 0 // nothing ever committed
 	}
 	k := e.bcmMaxK
-	buf := make([]fixed.Q15, 2*k+3)
+	buf := e.bcmRow
 	e.bcmState.Load(d, device.CatRestore, buf)
 	saved := uint64(uint16(buf[2*k+1])) | uint64(uint16(buf[2*k+2]))<<16
 	if saved != tag&0xFFFFFFFF {

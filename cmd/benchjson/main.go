@@ -1,9 +1,10 @@
 // Command benchjson converts `go test -bench` text output on stdin
 // into a JSON array on stdout, one object per benchmark line with its
 // iteration count and every reported metric keyed by unit. CI uses it
-// to emit the BENCH_PR*.json artifacts of the performance trajectory:
+// to emit BENCH_GOTEST.json, the performance-trajectory artifact of
+// its short benchmark pass:
 //
-//	go test -bench . -benchtime 1x | go run ./cmd/benchjson > BENCH_PR1.json
+//	go test -bench . -benchtime 1x | go run ./cmd/benchjson > BENCH_GOTEST.json
 package main
 
 import (

@@ -3,6 +3,7 @@ package fleet
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -169,12 +170,18 @@ func TestFleetScenarioErrorsDoNotAbort(t *testing.T) {
 	input := make([]fixed.Q15, 16)
 	bad := core.PaperHarvestSetup()
 	bad.Profile = harvest.SquareProfile{PeakWatts: 5e-3, Period: 0.1} // Duty 0: invalid
+	nanCap := core.PaperHarvestSetup()
+	nanCap.Config.CapacitanceF = math.NaN() // a NaN store never browns out
 	scenarios := []Scenario{
 		{Name: "bad-profile", Engine: core.EngineACEFLEX, Model: m, Input: input, Setup: bad},
 		{Name: "no-model", Engine: core.EngineACEFLEX, Setup: core.PaperHarvestSetup()},
 		{Name: "good", Engine: core.EngineACEFLEX, Model: m, Input: input, Setup: core.PaperHarvestSetup()},
+		{Name: "nan-cap", Engine: core.EngineACEFLEX, Model: m, Input: input, Setup: nanCap},
 	}
 	rep := Run(scenarios, 2)
+	if r := rep.Results[3]; r.Err == nil || r.Diagnosis != SetupErrorDiagnosis {
+		t.Errorf("NaN capacitance: diagnosis %q, err %v; want a setup error", r.Diagnosis, r.Err)
+	}
 	if rep.Results[0].Err == nil {
 		t.Error("invalid profile produced no error")
 	}

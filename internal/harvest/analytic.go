@@ -41,16 +41,6 @@ type Periodic interface {
 	ProfilePeriod() float64
 }
 
-// cumulative is implemented by the built-in profiles whose
-// EnergyBetween(t0, t1) is exactly cumEnergy(t1) - cumEnergy(t0)
-// (square, rectified sine, trace). cumEnergy must be pure: the
-// capacitor reuses a draw's end cumulative as the next draw's start.
-// ConstantProfile is not one: Watts*(t1-t0) is not a difference of
-// cumulatives.
-type cumulative interface {
-	cumEnergy(t float64) float64
-}
-
 // maxRechargeSegments bounds the engine's segment walk. The walk
 // normally terminates in a handful of segments (period skipping covers
 // long recharges); the bound only guards against malformed Analytic

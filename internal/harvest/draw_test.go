@@ -72,11 +72,18 @@ type plainProfile struct{ w float64 }
 func (p plainProfile) PowerAt(t float64) float64 { return p.w * (1 + 0.5*math.Sin(40*t)) }
 
 // drawProfiles are the profiles the exactness oracle covers, indexed
-// by the fuzz target's selector byte.
+// by the fuzz target's selector byte. Beyond one of each kind they
+// cover the square's duty extremes, power-of-two periods (t/period
+// exact), a two-point trace (one segment, so every lookup hits) and
+// peaks scaled the way a jittered scenario scales them.
 func drawProfiles(t *testing.T) []struct {
 	name string
 	p    Profile
 } {
+	twoPoint, err := NewTraceProfile([]float64{0, 0.05}, []float64{2e-3, 6e-3}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
 	return []struct {
 		name string
 		p    Profile
@@ -87,7 +94,21 @@ func drawProfiles(t *testing.T) []struct {
 		{"trace-repeat", mustTrace(t, true)},
 		{"trace-hold", mustTrace(t, false)},
 		{"plain", plainProfile{w: 5e-3}},
+		{"square-duty1", SquareProfile{PeakWatts: 5e-3, Period: 0.1, Duty: 1}},
+		{"square-tiny-duty", SquareProfile{PeakWatts: 5e-3, Period: 0.1, Duty: 1e-6}},
+		{"square-pow2", SquareProfile{PeakWatts: 5e-3, Period: 0.125, Duty: 0.25}},
+		{"sine-pow2", SineProfile{PeakWatts: 6e-3, Period: 0.25}},
+		{"trace-two-point", twoPoint},
+		{"square-jitter", SquareProfile{PeakWatts: 5e-3 * jitterScale(0.25, 0.7, 32), Period: 0.1, Duty: 0.5}},
+		{"sine-jitter", SineProfile{PeakWatts: 6e-3 * jitterScale(0.2, 0.3, 32), Period: 0.2}},
 	}
+}
+
+// jitterScale is a scenario's per-device power factor for the uniform
+// draw u, snapped to one of steps bins as the scenario source does.
+func jitterScale(jitter, u float64, steps int) float64 {
+	u = (math.Floor(u*float64(steps)) + 0.5) / float64(steps)
+	return 1 + jitter*(2*u-1)
 }
 
 // drawOp is one supply call: a recharge, or a draw of nJ over dt.

@@ -21,11 +21,13 @@
 //
 // On-time draws are the simulator's hottest path (one per charged
 // operation), so Draw does the least float work that gives the exact
-// closed-form bits: the profile's Analytic view and the VOff/VMax
-// energies are resolved once in NewCapacitor, the phase advances by
-// plain addition until it wraps, and for square, sine and trace
-// profiles a draw evaluates one cumulative energy, reusing the
-// previous draw's end value as its start.
+// closed-form bits. NewCapacitor resolves a built-in profile into a
+// draw form (form.go): its fixed factors, computed once, and for
+// traces a segment hint. It also resolves the VOff/VMax energies. The
+// phase advances by plain addition until it wraps. For square, sine
+// and trace profiles a draw evaluates one cumulative energy, reusing
+// the previous draw's end value as its start, and inside the period
+// that cumulative skips the period reduction.
 package harvest
 
 import (
@@ -198,18 +200,17 @@ type Capacitor struct {
 	cfg     Config
 	profile Profile
 
-	// Resolved once by NewCapacitor so a draw pays no type assertion
-	// and no threshold arithmetic: the profile's Analytic view (nil for
-	// plain Profiles), its cumulative integral (nil unless
-	// EnergyBetween is a difference of cumulatives), and the stored
-	// energies at VOff and VMax.
+	// Resolved once by NewCapacitor so a draw pays no type assertion,
+	// no profile dispatch and no threshold arithmetic: the profile's
+	// Analytic view (nil for plain Profiles), its draw form, and the
+	// stored energies at VOff and VMax.
 	analytic Analytic
-	cum      cumulative
+	form     drawForm
 	floorJ   float64
 	vmaxJ    float64
 	// cumKey and cumVal memoize the last cumulative a draw evaluated:
-	// the bits of its time and cum.cumEnergy there. cumEnergy is pure,
-	// so a matching key is the exact value and needs no invalidation.
+	// the bits of its time and cumAt there. The cumulative is pure, so
+	// a matching key is the exact value and needs no invalidation.
 	cumKey uint64
 	cumVal float64
 
@@ -228,11 +229,12 @@ type Capacitor struct {
 // NewCapacitor returns a capacitor charged to VOn at t=0 under the
 // given profile. Profiles implementing Validator are validated here.
 func NewCapacitor(cfg Config, profile Profile) (*Capacitor, error) {
-	if cfg.CapacitanceF <= 0 {
-		return nil, fmt.Errorf("harvest: capacitance must be positive, got %g", cfg.CapacitanceF)
+	if !(cfg.CapacitanceF > 0) || math.IsInf(cfg.CapacitanceF, 1) {
+		return nil, fmt.Errorf("harvest: capacitance must be finite and positive, got %g", cfg.CapacitanceF)
 	}
-	if !(cfg.VMax >= cfg.VOn && cfg.VOn > cfg.VOff && cfg.VOff > 0) {
-		return nil, fmt.Errorf("harvest: need VMax >= VOn > VOff > 0, got %+v", cfg)
+	// The ordering rejects NaN, so a finite VMax makes all three finite.
+	if !(cfg.VMax >= cfg.VOn && cfg.VOn > cfg.VOff && cfg.VOff > 0) || math.IsInf(cfg.VMax, 1) {
+		return nil, fmt.Errorf("harvest: need finite VMax >= VOn > VOff > 0, got %+v", cfg)
 	}
 	if cfg.LeakageW < 0 || math.IsNaN(cfg.LeakageW) || math.IsInf(cfg.LeakageW, 0) {
 		return nil, fmt.Errorf("harvest: leakage must be finite and >= 0, got %g", cfg.LeakageW)
@@ -254,9 +256,9 @@ func NewCapacitor(cfg Config, profile Profile) (*Capacitor, error) {
 	c.vmaxJ = c.energyAt(cfg.VMax)
 	if ap, ok := profile.(Analytic); ok {
 		c.analytic = ap
-		if cp, ok := profile.(cumulative); ok {
-			c.cum = cp
-			c.cumKey, c.cumVal = math.Float64bits(0), cp.cumEnergy(0)
+		c.form = resolveForm(profile)
+		if c.form.kind >= formSquare {
+			c.cumKey, c.cumVal = math.Float64bits(0), c.cumAt(0)
 		}
 		switch pp, periodic := ap.(Periodic); {
 		case periodic && pp.ProfilePeriod() > 0:
@@ -389,7 +391,11 @@ func (c *Capacitor) integrateHarvest(dt float64) {
 			c.phase = math.Mod(t1, c.period)
 		}
 	case modeConstant:
-		gross = c.analytic.EnergyBetween(0, dt)
+		if c.form.kind == formConstant {
+			gross = float64(c.form.a * dt) // Watts·(dt−0), the same bits
+		} else {
+			gross = c.analytic.EnergyBetween(0, dt)
+		}
 	default:
 		if c.analytic != nil {
 			gross = c.energyBetween(c.nowSec, c.nowSec+dt)
@@ -408,20 +414,22 @@ func (c *Capacitor) integrateHarvest(dt float64) {
 }
 
 // energyBetween is the profile's EnergyBetween(t0, t1) with the same
-// bits. For cumulative profiles it evaluates only cumEnergy(t1) when
-// t0 is the previous call's t1 — every draw in sequence between
-// recharges and phase wraps — and remembers t1 for the next draw.
+// bits, from the draw form. For cumulative forms it evaluates only
+// cumAt(t1) when t0 is the previous call's t1 — every draw in sequence
+// between recharges and phase wraps — and remembers t1 for the next
+// draw. (A constant profile integrates in modeConstant and never gets
+// here.)
 //
 //ehdl:hotpath
 func (c *Capacitor) energyBetween(t0, t1 float64) float64 {
-	if c.cum == nil {
+	if c.form.kind < formSquare {
 		return c.analytic.EnergyBetween(t0, t1)
 	}
 	c0 := c.cumVal
 	if math.Float64bits(t0) != c.cumKey {
-		c0 = c.cum.cumEnergy(t0)
+		c0 = c.cumAt(t0)
 	}
-	c1 := c.cum.cumEnergy(t1)
+	c1 := c.cumAt(t1)
 	c.cumKey, c.cumVal = math.Float64bits(t1), c1
 	return c1 - c0
 }

@@ -20,6 +20,16 @@ func TestNewCapacitorValidation(t *testing.T) {
 		{CapacitanceF: 1e-4, VOn: 1.0, VOff: 1.8, VMax: 3.6}, // VOn < VOff
 		{CapacitanceF: 1e-4, VOn: 3.3, VOff: 0, VMax: 3.6},
 		{CapacitanceF: 1e-4, VOn: 3.7, VOff: 1.8, VMax: 3.6}, // VOn > VMax
+		// Non-finite values: a NaN store never browns out.
+		{CapacitanceF: math.NaN(), VOn: 3.3, VOff: 1.8, VMax: 3.6},
+		{CapacitanceF: math.Inf(1), VOn: 3.3, VOff: 1.8, VMax: 3.6},
+		{CapacitanceF: math.Inf(-1), VOn: 3.3, VOff: 1.8, VMax: 3.6},
+		{CapacitanceF: 1e-4, VOn: math.NaN(), VOff: 1.8, VMax: 3.6},
+		{CapacitanceF: 1e-4, VOn: math.Inf(1), VOff: 1.8, VMax: math.Inf(1)},
+		{CapacitanceF: 1e-4, VOn: 3.3, VOff: math.NaN(), VMax: 3.6},
+		{CapacitanceF: 1e-4, VOn: 3.3, VOff: math.Inf(-1), VMax: 3.6},
+		{CapacitanceF: 1e-4, VOn: 3.3, VOff: 1.8, VMax: math.NaN()},
+		{CapacitanceF: 1e-4, VOn: 3.3, VOff: 1.8, VMax: math.Inf(1)},
 	}
 	for _, cfg := range bad {
 		if _, err := NewCapacitor(cfg, ConstantProfile{1e-3}); err == nil {

@@ -227,11 +227,29 @@ func (p *TraceProfile) interp(i int, r float64) float64 {
 // localCum returns ∫ power over [0, r] for r in [0, Duration], with
 // one breakpoint search.
 func (p *TraceProfile) localCum(r float64) float64 {
+	return p.cumIn(p.segment(r), r)
+}
+
+// segment returns the last breakpoint index i with times[i] <= r, for
+// r in [0, Duration]: the breakpoint r sits on, or the start of the
+// segment (i, i+1) it lies strictly inside.
+//
+//ehdl:hotpath
+func (p *TraceProfile) segment(r float64) int {
 	i := sort.SearchFloat64s(p.times, r)
 	if i < len(p.times) && p.times[i] == r {
+		return i
+	}
+	return i - 1 // i >= 1 since times[0] = 0 <= r
+}
+
+// cumIn returns ∫ power over [0, r] given r's segment i.
+//
+//ehdl:hotpath
+func (p *TraceProfile) cumIn(i int, r float64) float64 {
+	if p.times[i] == r {
 		return p.cum[i]
 	}
-	i--
 	dt := r - p.times[i]
 	return p.cum[i] + 0.5*(p.watts[i]+p.interp(i, r))*dt
 }

@@ -153,9 +153,31 @@ func TestRunStreamPreCancelled(t *testing.T) {
 	}
 }
 
+// TestRunStreamSinkErrorBeatsCancel: a sink that cancels the run and
+// then fails broke the run before the cancellation landed, so
+// RunStream must return the sink's error rather than context.Canceled.
+func TestRunStreamSinkErrorBeatsCancel(t *testing.T) {
+	const k = 5
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	diskFull := errors.New("disk full")
+	src := FuncSource(64, func(i int) (Scenario, error) { return Scenario{}, nil })
+	sink := SinkFunc(func(i int, r Result) error {
+		if i == k {
+			cancel()
+			return diskFull
+		}
+		return nil
+	})
+	_, err := RunStream(src, StreamOptions{Workers: 4, ChunkSize: 2, Context: ctx, Sink: sink})
+	if !errors.Is(err, diskFull) || errors.Is(err, context.Canceled) {
+		t.Fatalf("got %v, want the sink error and not context.Canceled", err)
+	}
+}
+
 // TestWorkerPoolSharedAcrossRuns: concurrent RunStream calls over one
-// tiny pool must all complete (no slot deadlock even when reorder
-// windows block) and produce the same bytes as solo runs.
+// tiny pool must all complete (no slot deadlock) and produce the same
+// bytes as solo runs.
 func TestWorkerPoolSharedAcrossRuns(t *testing.T) {
 	const runs = 3
 	pool := NewWorkerPool(2)
@@ -184,7 +206,7 @@ func TestWorkerPoolSharedAcrossRuns(t *testing.T) {
 		go func() {
 			var buf bytes.Buffer
 			_, err := RunStream(srcs[k], StreamOptions{
-				Workers:   4, // more goroutines than slots, deliberately
+				Workers:   4, // more than the pool has slots, deliberately
 				ChunkSize: 4,
 				Pool:      pool,
 				Sink:      NewNDJSONSink(&buf),

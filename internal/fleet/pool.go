@@ -6,13 +6,10 @@ package fleet
 // process-wide budget instead of workers × jobs.
 //
 // Slots gate simulation only. A RunStream worker acquires a slot,
-// simulates one chunk of devices, and releases the slot before
-// delivering the chunk's rows to the ordered sink — delivery can
-// block on the reorder window behind rows another run (or another
-// worker waiting for a slot) still owes, and holding a slot across
-// that wait could deadlock a full pool. Because blocked deliverers
-// hold no slots, every slot is always doing simulation work and the
-// pool drains no matter how many runs share it.
+// simulates one chunk of devices, and releases the slot before handing
+// the chunk to its run's committer, so every held slot is doing
+// simulation work and the pool drains no matter how many runs share
+// it.
 
 import (
 	"context"

@@ -2,13 +2,13 @@ package fleet
 
 // This file is the streaming fleet core. Scenarios come from a lazy
 // Source (so a million-device fleet is never materialized), workers
-// claim deterministic contiguous chunks of devices, per-chunk
-// aggregator shards accumulate the report in constant memory, and an
-// optional Sink receives every row in scenario order through a
-// bounded reorder window. A committer folds finished chunks back
-// into global order, and its contiguous commit frontier — together
-// with the aggregator snapshot and the sink's delivered-row index —
-// is what a DurableRun checkpoints and resumes from (see run.go).
+// claim deterministic contiguous chunks of devices and simulate each
+// into its rows plus an aggregator shard, and a single committer puts
+// finished chunks back into scenario order: it hands their rows to
+// the optional Sink and merges their shards. Its contiguous commit
+// frontier — together with the aggregator snapshot and the sink's
+// delivered-row index — is what a DurableRun checkpoints and resumes
+// from (see run.go). Dispatch tokens bound the chunks in flight.
 // StreamOptions.Partition restricts a run to one device range of the
 // fleet (global indices preserved), which is the multi-process
 // sharding substrate (see checkpoint.go and merge.go). fleet.Run is a
@@ -183,97 +183,22 @@ type StreamOptions struct {
 	// Workers unconditional goroutines: each worker holds a slot only
 	// while simulating a chunk, so the pool bounds total simulation
 	// concurrency across every run sharing it. Workers still bounds
-	// this run's goroutine count (its maximum share of the pool).
+	// this run's goroutine count (its maximum share of the pool);
+	// <= 0 or above Pool.Size() means Pool.Size().
 	Pool *WorkerPool
 	// Clock supplies the host time used for Report.HostSeconds and
 	// progress pacing — nothing simulated reads it (nil: SystemClock).
 	Clock Clock
 }
 
-// reorder is the bounded window that restores scenario order for sink
-// delivery. A worker whose finished row is too far ahead of the
-// oldest undelivered index blocks until the window advances, so
-// pending never holds more than window rows — the window is what
-// keeps a fleet with one pathologically slow device from buffering
-// the entire rest of the fleet behind it.
-type reorder struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	next    int
-	window  int
-	pending map[int]Result
-	sink    Sink
-	err     error
-}
-
-func newReorder(sink Sink, workers, next0 int) *reorder {
-	// A few rows of slack per worker hides delivery jitter without
-	// growing the O(workers) memory bound.
-	w := &reorder{
-		next:    next0,
-		window:  4 * workers,
-		pending: make(map[int]Result, 4*workers+1),
-		sink:    sink,
-	}
-	w.cond = sync.NewCond(&w.mu)
-	return w
-}
-
-// deliver hands row i to the window and flushes every row that became
-// in-order, blocking while i is beyond the window. It reports whether
-// the run should continue. The worker holding the oldest index never
-// blocks (i == next is always inside the window), so the window
-// always drains.
-func (w *reorder) deliver(i int, r Result) bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	for w.err == nil && i >= w.next+w.window {
-		w.cond.Wait()
-	}
-	if w.err != nil {
-		return false
-	}
-	w.pending[i] = r
-	advanced := false
-	for {
-		row, ok := w.pending[w.next]
-		if !ok {
-			break
-		}
-		delete(w.pending, w.next)
-		if err := w.sink.Consume(w.next, row); err != nil {
-			w.err = fmt.Errorf("fleet: sink at row %d: %w", w.next, err)
-			w.cond.Broadcast()
-			return false
-		}
-		w.next++
-		advanced = true
-	}
-	if advanced {
-		w.cond.Broadcast()
-	}
-	return true
-}
-
-// cancel fails the window (first error wins) and wakes every worker
-// blocked in deliver, so a cancelled run's workers stop instead of
-// waiting for a window advance that will never come.
-func (w *reorder) cancel(err error) {
-	w.mu.Lock()
-	if w.err == nil {
-		w.err = err
-	}
-	w.cond.Broadcast()
-	w.mu.Unlock()
-}
-
-// chunkDone is a worker's completion record for one contiguous chunk:
-// its half-open device range and the aggregator shard over exactly
-// those rows. A worker sends it only after every row of the chunk has
-// been handed to the ordered sink.
+// chunkDone is a worker's completion record for one fully simulated
+// contiguous chunk: its half-open device range, the aggregator shard
+// over exactly those rows, and the rows themselves (nil when the run
+// has no sink).
 type chunkDone struct {
 	start, end int
 	agg        *Agg
+	rows       []Result
 }
 
 // ckptJob is one queued checkpoint write: a commit frontier and the
@@ -323,14 +248,16 @@ func (w *ckptWriter) drain() (last int, wrote bool, err error) {
 	return w.last, w.wrote, w.err
 }
 
-// committer folds finished chunks back into contiguous device order.
-// Chunks complete out of order; the committer parks early arrivals
-// and advances its frontier only through gap-free prefixes. Because
-// (a) workers deliver every row of a chunk before reporting it done
-// and (b) the reorder mutex serializes delivery, a frontier of R
-// means the sink has consumed exactly rows [Start, R) and the
-// committed aggregator holds exactly that multiset — the invariant
-// that makes each CheckpointState consistent and resume exact.
+// committer is RunStream's one ordering stage and the only caller of
+// Sink.Consume. Chunks complete out of order; the committer parks
+// early arrivals and, for each gap-free prefix, delivers the chunk's
+// rows, merges its shard and advances the frontier, in that order. A
+// frontier of R therefore means, by construction, that the sink has
+// consumed exactly rows [Start, R) and the committed aggregator holds
+// exactly that multiset — the invariant that makes each
+// CheckpointState consistent and resume exact. Committing a chunk
+// returns its dispatch token, which is what bounds the chunks in
+// flight (see runStream).
 type committer struct {
 	ck         *checkpointing
 	state      CheckpointState // identity template; Rows/AggSnap filled per write
@@ -338,39 +265,64 @@ type committer struct {
 	rows       int               // commit frontier: rows [state.Start, rows) are committed
 	lastQueued int               // frontier of the most recently queued checkpoint
 	pending    map[int]chunkDone // parked chunks, keyed by start index
+	sink       Sink
 	flusher    Flusher
-	writer     *ckptWriter // nil unless ck is set and work remains
-	fail       func()      // aborts dispatch after a checkpoint failure
+	writer     *ckptWriter     // nil unless ck is set and work remains
+	tokens     chan struct{}   // dispatch tokens; one is returned per committed chunk
+	abort      <-chan struct{} // closed once the run stops dispatching
+	fail       func()          // aborts dispatch after a sink or checkpoint failure
 	err        error
 }
 
-// run drains the commits channel until it closes. After a checkpoint
-// failure it keeps draining (workers must never block on a full
-// channel) but stops committing.
+// run drains the commits channel until it closes. Once the run has
+// failed or aborted it keeps draining (workers must never block on a
+// full channel) but stops committing.
 func (c *committer) run(commits <-chan chunkDone) {
 	for cd := range commits {
-		if c.err != nil {
-			continue
-		}
 		c.pending[cd.start] = cd
-		for {
+		for c.err == nil && !c.aborted() {
 			nxt, ok := c.pending[c.rows]
 			if !ok {
 				break
 			}
 			delete(c.pending, c.rows)
+			if err := c.deliver(nxt); err != nil {
+				c.err = err
+				c.fail()
+				break
+			}
 			c.committed.Merge(nxt.agg)
 			c.rows = nxt.end
+			<-c.tokens
 		}
-		if c.ck != nil && c.rows-c.lastQueued >= c.ck.every {
+		if c.err == nil && c.ck != nil && c.rows-c.lastQueued >= c.ck.every {
 			if err := c.queueCheckpoint(); err != nil {
 				c.err = err
-				if c.fail != nil {
-					c.fail()
-				}
+				c.fail()
 			}
 		}
 	}
+}
+
+// aborted reports whether the run has stopped dispatching (a
+// cancellation, or a sink or checkpoint failure).
+func (c *committer) aborted() bool {
+	select {
+	case <-c.abort:
+		return true
+	default:
+		return false
+	}
+}
+
+// deliver hands one chunk's rows to the sink in order.
+func (c *committer) deliver(cd chunkDone) error {
+	for k, r := range cd.rows {
+		if err := c.sink.Consume(cd.start+k, r); err != nil {
+			return fmt.Errorf("fleet: sink at row %d: %w", cd.start+k, err)
+		}
+	}
+	return nil
 }
 
 // queueCheckpoint snapshots the committed aggregator at the current
@@ -422,7 +374,7 @@ func (c *committer) writeLoop() {
 			c.writer.last, c.writer.wrote = job.rows, true
 		}
 		c.writer.mu.Unlock()
-		if err != nil && c.fail != nil {
+		if err != nil {
 			c.fail()
 		}
 	}
@@ -463,12 +415,15 @@ func (c *committer) writeCheckpoint() error {
 
 // RunStream simulates the fleet without materializing it: scenarios
 // are generated on demand, rows stream through the optional sink in
-// scenario order, and the report is aggregated online — memory is
-// O(workers × exact-percentile threshold) worst case, independent of
-// fleet size. Scenario-level failures (bad profile, missing model,
-// DNF, a Source error for one index) land in that row's Err and do
-// not abort the fleet; only a Sink or checkpoint error aborts,
-// returning that error (the sink's takes precedence).
+// scenario order, and the report is aggregated online. Memory is
+// O(workers × chunk) rows in flight plus the aggregator (O(exact-
+// percentile threshold) worst case), independent of fleet size.
+// Scenario-level failures (bad profile, missing model, DNF, a Source
+// error for one index) land in that row's Err and do not abort the
+// fleet; only a Sink or checkpoint error aborts, returning that error
+// (the sink's takes precedence). A cancelled run returns an error
+// wrapping ctx.Err(), unless a sink or checkpoint error that does not
+// itself wrap ctx.Err() got there first.
 //
 // The report is bit-identical for any worker count and chunk size,
 // and — for fleets within the exact-percentile threshold —
@@ -533,6 +488,7 @@ func runStream(src Source, opts StreamOptions, ck *checkpointing) (Report, error
 		rows:       base,
 		lastQueued: base,
 		pending:    make(map[int]chunkDone),
+		sink:       opts.Sink,
 		flusher:    flusher,
 	}
 	cm.state = CheckpointState{
@@ -547,9 +503,12 @@ func runStream(src Source, opts StreamOptions, ck *checkpointing) (Report, error
 		cm.state.Fingerprint = ck.fingerprint
 	}
 
-	var win *reorder
 	if span > 0 {
 		workers := opts.Workers
+		if opts.Pool != nil && (workers <= 0 || workers > opts.Pool.Size()) {
+			// Goroutines beyond the pool's slots would only queue on it.
+			workers = opts.Pool.Size()
+		}
 		if workers <= 0 {
 			workers = runtime.GOMAXPROCS(0)
 		}
@@ -567,33 +526,18 @@ func runStream(src Source, opts StreamOptions, ck *checkpointing) (Report, error
 			chunk = 1
 		}
 
-		if opts.Sink != nil {
-			win = newReorder(opts.Sink, workers, base)
-		}
-
 		commits := make(chan chunkDone, workers)
 		abort := make(chan struct{})
 		var abortOnce sync.Once
 		fail := func() { abortOnce.Do(func() { close(abort) }) }
+		// A chunk holds a token from dispatch until it commits, so at most
+		// 2×workers chunks are simulating or parked in the committer.
+		cm.tokens = make(chan struct{}, 2*workers)
+		cm.abort = abort
 		cm.fail = fail
 
-		if ctx.Done() != nil {
-			// Watcher: a cancelled context stops dispatch (via abort) and
-			// wakes workers blocked in the reorder window, which would
-			// otherwise wait forever for rows that no one will simulate.
-			watchStop := make(chan struct{})
-			defer close(watchStop)
-			go func() {
-				select {
-				case <-ctx.Done():
-					if win != nil {
-						win.cancel(fmt.Errorf("fleet: run cancelled: %w", ctx.Err()))
-					}
-					fail()
-				case <-watchStop:
-				}
-			}()
-		}
+		// A cancelled context stops dispatch and commits.
+		defer context.AfterFunc(ctx, fail)()
 
 		if ck != nil {
 			cm.writer = newCkptWriter()
@@ -618,18 +562,13 @@ func runStream(src Source, opts StreamOptions, ck *checkpointing) (Report, error
 					if ce > pend {
 						ce = pend
 					}
-					// A shared pool slot covers simulation only; delivery
-					// below runs slot-free because the reorder window can
-					// block behind rows another run's slot-less worker owes
-					// (see WorkerPool).
 					if opts.Pool != nil && !opts.Pool.acquire(ctx, abort) {
 						fail()
 						return
 					}
-					shard := NewAgg(threshold)
-					var rows []Result
-					if win != nil {
-						rows = make([]Result, 0, ce-cs)
+					cd := chunkDone{start: cs, end: ce, agg: NewAgg(threshold)}
+					if opts.Sink != nil {
+						cd.rows = make([]Result, 0, ce-cs)
 					}
 					cancelled := false
 					for i := cs; i < ce; i++ {
@@ -655,34 +594,32 @@ func runStream(src Source, opts StreamOptions, ck *checkpointing) (Report, error
 						} else {
 							r = runOne(s)
 						}
-						shard.Observe(r)
+						cd.agg.Observe(r)
 						done.Add(1)
-						if win != nil {
-							rows = append(rows, r)
+						if cd.rows != nil {
+							cd.rows = append(cd.rows, r)
 						}
 					}
 					if opts.Pool != nil {
 						opts.Pool.Release()
 					}
 					if cancelled {
-						// The chunk is partial: neither deliver nor commit
-						// it, so the frontier never covers a half-simulated
-						// chunk.
+						// The chunk is partial: never commit it, so the
+						// frontier never covers a half-simulated chunk.
 						fail()
 						return
 					}
-					for k, r := range rows {
-						if !win.deliver(cs+k, r) {
-							fail()
-							return
-						}
-					}
-					commits <- chunkDone{start: cs, end: ce, agg: shard}
+					commits <- cd
 				}
 			}()
 		}
 	dispatch:
 		for cs := base; cs < pend; cs += chunk {
+			select {
+			case cm.tokens <- struct{}{}:
+			case <-abort:
+				break dispatch
+			}
 			select {
 			case jobs <- cs:
 			case <-abort:
@@ -703,19 +640,10 @@ func runStream(src Source, opts StreamOptions, ck *checkpointing) (Report, error
 		ckLast, ckWrote, ckErr = cm.writer.drain()
 	}
 
-	var winErr error
-	if win != nil {
-		win.mu.Lock()
-		winErr = win.err
-		win.mu.Unlock()
-	}
 	if cerr := ctx.Err(); cerr != nil {
-		// A sink failure unrelated to the cancellation still wins: the
-		// run was already broken before it was cancelled.
-		if winErr != nil && !errors.Is(winErr, cerr) {
-			return Report{}, winErr
-		}
-		if cm.err != nil {
+		// A sink or checkpoint failure unrelated to the cancellation
+		// still wins: the run was already broken before it was cancelled.
+		if cm.err != nil && !errors.Is(cm.err, cerr) {
 			return Report{}, cm.err
 		}
 		if ckErr != nil {
@@ -735,9 +663,6 @@ func runStream(src Source, opts StreamOptions, ck *checkpointing) (Report, error
 			}
 		}
 		return Report{}, fmt.Errorf("fleet: run cancelled: %w", cerr)
-	}
-	if winErr != nil {
-		return Report{}, winErr
 	}
 	if cm.err != nil {
 		return Report{}, cm.err

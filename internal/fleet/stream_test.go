@@ -7,10 +7,11 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
-	"time"
 
 	"ehdl/internal/core"
 )
@@ -109,55 +110,76 @@ func TestRunStreamSinkOrdered(t *testing.T) {
 	}
 }
 
-// TestReorderWindowBounded: workers that race ahead of a slow oldest
-// index must block once they are a window beyond it — pending never
-// grows with fleet size, which is what keeps one slow device from
-// buffering the whole fleet behind it.
-func TestReorderWindowBounded(t *testing.T) {
-	sink := &orderSink{t: t}
-	w := newReorder(sink, 2, 0) // window = 8
-	const total = 40
+// TestRunStreamInFlightBounded: with the sink stalled at row 0, the
+// dispatcher must stop handing out chunks once 2×workers of them are
+// in flight, so a slow consumer (or one slow device) never buffers the
+// fleet behind it. The source checks the bound at every At(i), and the
+// sink is released only once the last in-budget index has been
+// requested: nothing depends on timing.
+func TestRunStreamInFlightBounded(t *testing.T) {
+	const (
+		workers = 2
+		chunk   = 1
+		n       = 64
+		budget  = 2 * workers * chunk
+	)
+	var delivered atomic.Int64
+	release := make(chan struct{})
+	src := FuncSource(n, func(i int) (Scenario, error) {
+		if d := delivered.Load(); int64(i) >= d+budget {
+			t.Errorf("At(%d) called with %d rows delivered: more than %d rows in flight", i, d, budget)
+		}
+		if i == budget-1 {
+			close(release)
+		}
+		return Scenario{Name: fmt.Sprintf("dev%d", i)}, nil
+	})
+	rows := &orderSink{t: t}
+	sink := SinkFunc(func(i int, r Result) error {
+		if i == 0 {
+			<-release
+		}
+		err := rows.Consume(i, r)
+		delivered.Add(1)
+		return err
+	})
+	if _, err := RunStream(src, StreamOptions{Workers: workers, ChunkSize: chunk, Sink: sink}); err != nil {
+		t.Fatal(err)
+	}
+	if len(rows.rows) != n {
+		t.Fatalf("sink received %d rows, want %d", len(rows.rows), n)
+	}
+	for i, r := range rows.rows {
+		if want := fmt.Sprintf("dev%d", i); r.Name != want {
+			t.Fatalf("row %d is %q, want %q", i, r.Name, want)
+		}
+	}
+}
 
-	var wg sync.WaitGroup
-	for i := 1; i < total; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if !w.deliver(i, Result{Name: fmt.Sprintf("dev%d", i)}) {
-				t.Errorf("deliver(%d) aborted", i)
-			}
-		}(i)
+// TestRunStreamWorkersCappedByPool: a run sharing a pool starts at
+// most Pool.Size() workers whatever Workers asks for. Extra goroutines
+// could only queue on the pool, and the fleet service passes a job's
+// requested worker count straight through.
+func TestRunStreamWorkersCappedByPool(t *testing.T) {
+	const n = 4096
+	pool := NewWorkerPool(2)
+	src := FuncSource(n, func(i int) (Scenario, error) {
+		return Scenario{Name: fmt.Sprintf("dev%d", i)}, nil
+	})
+	before := runtime.NumGoroutine()
+	peak := 0
+	sink := SinkFunc(func(i int, r Result) error {
+		peak = max(peak, runtime.NumGoroutine())
+		return nil
+	})
+	if _, err := RunStream(src, StreamOptions{Workers: 1 << 30, Pool: pool, Sink: sink}); err != nil {
+		t.Fatal(err)
 	}
-	// Let the early indices land and the far ones block on the window.
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		w.mu.Lock()
-		n := len(w.pending)
-		w.mu.Unlock()
-		if n == w.window-1 { // 1..7 inserted; 8+ blocked; 0 outstanding
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("pending stuck at %d rows, want %d", n, w.window-1)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if len(sink.rows) != 0 {
-		t.Fatalf("sink received %d rows before the oldest index", len(sink.rows))
-	}
-	// Releasing the oldest index must drain everything, in order.
-	if !w.deliver(0, Result{Name: "dev0"}) {
-		t.Fatal("deliver(0) aborted")
-	}
-	wg.Wait()
-	w.mu.Lock()
-	left := len(w.pending)
-	w.mu.Unlock()
-	if left != 0 {
-		t.Fatalf("%d rows stranded in the window", left)
-	}
-	if len(sink.rows) != total {
-		t.Fatalf("sink received %d rows, want %d", len(sink.rows), total)
+	// The pool's workers plus the committer, with slack for runtime
+	// helpers.
+	if limit := before + pool.Size() + 8; peak > limit {
+		t.Fatalf("peak %d goroutines (%d before the run), want at most %d for a %d-slot pool",
+			peak, before, limit, pool.Size())
 	}
 }
 

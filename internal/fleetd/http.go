@@ -40,8 +40,9 @@ type JobRequest struct {
 	Seed *int64 `json:"seed"`
 	// Devices resizes the declared fleet (0: keep the declared size).
 	Devices int `json:"devices"`
-	// Workers caps this job's goroutines (0: the pool size). The
-	// shared pool still bounds actual simulation concurrency.
+	// Workers caps this job's goroutines (0 or above the daemon's pool
+	// size: the pool size). The shared pool bounds actual simulation
+	// concurrency across jobs.
 	Workers int `json:"workers"`
 	// ChunkSize overrides the dispatch granularity (0: default).
 	ChunkSize int `json:"chunk_size"`

@@ -19,7 +19,6 @@ import (
 	"ehdl/internal/fftfixed"
 	"ehdl/internal/fixed"
 	"ehdl/internal/flex"
-	"ehdl/internal/quant"
 )
 
 // elemStride is the element batch between FLEX boundaries for cheap
@@ -34,7 +33,6 @@ const convWBudgetWords = 1600
 
 // Engine is the ACE runtime for one inference.
 type Engine struct {
-	d     *device.Device
 	store *exec.ModelStore
 
 	in *device.NVQ15
@@ -58,9 +56,8 @@ type Engine struct {
 
 	fx *flex.Controller // nil = plain ACE
 
-	windowOffs map[int][]int
-	// filtersPerChunk[li] is the conv weight-staging chunk size.
-	filtersPerChunk map[int]int
+	// filtersPerChunk[li] is conv layer li's weight-staging chunk size.
+	filtersPerChunk []int
 	// posBase[li] is the linear FLEX-progress base of layer li.
 	posBase []uint64
 }
@@ -68,40 +65,26 @@ type Engine struct {
 // New builds an ACE engine. fx may be nil for plain ACE (no
 // intermittent support).
 func New(d *device.Device, store *exec.ModelStore, input []fixed.Q15, fx *flex.Controller) (*Engine, error) {
-	m := store.Model
-	if got, want := len(input), m.InShape[0]*m.InShape[1]*m.InShape[2]; got != want {
-		return nil, fmt.Errorf("ace: input length %d, want %d", got, want)
-	}
-	e := &Engine{d: d, store: store, fx: fx,
-		windowOffs:      map[int][]int{},
-		filtersPerChunk: map[int]int{},
-	}
-
-	in, err := device.NewNVQ15(d, len(input))
+	in, err := store.FlashInput(d, input)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("ace: %w", err)
 	}
-	copy(in.Raw(), input)
-	e.in = in
+	e := &Engine{store: store, fx: fx, in: in, filtersPerChunk: make([]int, len(store.Layers))}
 
 	// Size the two circular buffers: the largest activation, padded up
 	// to the BCM block grid where needed.
-	bufLen := m.MaxActivationLen()
-	maxWin, maxConvW, maxBias, maxOutC := 0, 0, 0, 0
-	maxK, maxDenseIn := 0, 0
+	bufLen := store.Model.MaxActivationLen()
+	maxWin, maxConvW, maxBias, maxOutC, maxDenseIn := 0, 0, 0, 0, 0
 	pos := uint64(0)
 	cur := 0
-	for li := range m.Layers {
-		l := &m.Layers[li]
+	for li := range store.Layers {
+		l := &store.Layers[li]
 		e.posBase = append(e.posBase, pos)
 		e.bufIn = append(e.bufIn, cur)
-		switch l.Spec.Kind {
-		case "conv":
-			e.windowOffs[li] = exec.WindowOffsets(l)
-			win := exec.KernelLen(l)
-			if win > maxWin {
-				maxWin = win
-			}
+		switch l.Kind {
+		case exec.Conv:
+			win := len(l.Offs)
+			maxWin = max(maxWin, win)
 			fpc := l.Spec.OutC
 			if fpc*win > convWBudgetWords {
 				fpc = convWBudgetWords / win
@@ -110,46 +93,31 @@ func New(d *device.Device, store *exec.ModelStore, input []fixed.Q15, fx *flex.C
 				}
 			}
 			e.filtersPerChunk[li] = fpc
-			if w := fpc * win; w > maxConvW {
-				maxConvW = w
-			}
-			if fpc > maxOutC {
-				maxOutC = fpc
-			}
+			maxConvW = max(maxConvW, fpc*win)
+			maxOutC = max(maxOutC, fpc)
 			chunks := (l.Spec.OutC + fpc - 1) / fpc
 			oh := l.Spec.InH - l.Spec.KH + 1
 			ow := l.Spec.InW - l.Spec.KW + 1
 			pos += uint64(chunks * oh * ow)
 			cur ^= 1
-		case "pool", "relu":
-			pos += uint64(quant.LayerOutLen(l.Spec))
+		case exec.Pool, exec.ReLU:
+			pos += uint64(l.OutLen)
 			cur ^= 1
-		case "flatten":
+		case exec.Flatten:
 			// No movement, no progress units, no buffer flip.
-		case "dense":
-			if l.Spec.In > maxDenseIn {
-				maxDenseIn = l.Spec.In
-			}
+		case exec.Dense:
+			maxDenseIn = max(maxDenseIn, l.Spec.In)
 			pos += uint64(l.Spec.Out)
 			cur ^= 1
-		case "bcm":
+		case exec.BCM:
 			k := l.Spec.K
-			if k > maxK {
-				maxK = k
-			}
 			p := (l.Spec.Out + k - 1) / k
 			q := (l.Spec.In + k - 1) / k
-			if padded := q * k; padded > bufLen {
-				bufLen = padded
-			}
+			bufLen = max(bufLen, q*k)
 			pos += uint64(p*q) * 3
 			cur ^= 1
-		default:
-			return nil, fmt.Errorf("ace: unsupported layer kind %q", l.Spec.Kind)
 		}
-		if n := len(l.B); n > maxBias {
-			maxBias = n
-		}
+		maxBias = max(maxBias, len(l.B))
 		e.bufOut = append(e.bufOut, cur)
 	}
 	e.posBase = append(e.posBase, pos)
@@ -178,10 +146,8 @@ func New(d *device.Device, store *exec.ModelStore, input []fixed.Q15, fx *flex.C
 	if e.outVec, err = alloc(maxOutC); err != nil {
 		return nil, err
 	}
-	stage := maxK
-	if maxDenseIn > stage {
-		stage = maxDenseIn
-	}
+	maxK := store.MaxK
+	stage := max(maxK, maxDenseIn)
 	if e.xStage, err = alloc(stage); err != nil {
 		return nil, err
 	}
@@ -219,10 +185,9 @@ func (e *Engine) EngineName() string {
 // Output implements exec.Engine: the logits live in the output buffer
 // of the last layer.
 func (e *Engine) Output() []fixed.Q15 {
-	last := len(e.store.Model.Layers) - 1
-	n := quant.LayerOutLen(e.store.Model.Layers[last].Spec)
-	buf := e.act[e.bufOut[last]]
-	return append([]fixed.Q15(nil), buf.Raw()[:n]...)
+	last := len(e.store.Layers) - 1
+	n := e.store.Layers[last].OutLen
+	return append([]fixed.Q15(nil), e.act[e.bufOut[last]].Raw()[:n]...)
 }
 
 // Progress implements intermittent.ProgressReporter: plain ACE makes
@@ -236,10 +201,10 @@ func (e *Engine) Progress() uint64 {
 
 // snapPos maps a restored FLEX snapshot to its linear position.
 func (e *Engine) snapPos(s flex.Snapshot) uint64 {
-	if s.Layer >= len(e.store.Model.Layers) {
+	if s.Layer >= len(e.store.Layers) {
 		return e.posBase[len(e.posBase)-1]
 	}
-	l := &e.store.Model.Layers[s.Layer]
+	l := &e.store.Layers[s.Layer]
 	base := e.posBase[s.Layer]
 	if s.State == flex.StateElement {
 		return base + uint64(s.Elem)
@@ -257,7 +222,6 @@ func (e *Engine) snapPos(s flex.Snapshot) uint64 {
 
 // Boot implements intermittent.Program.
 func (e *Engine) Boot(d *device.Device) error {
-	m := e.store.Model
 
 	startLayer := 0
 	var resume *flex.Snapshot
@@ -268,29 +232,25 @@ func (e *Engine) Boot(d *device.Device) error {
 		}
 	}
 
-	for li := startLayer; li < len(m.Layers); li++ {
-		l := &m.Layers[li]
+	for li := startLayer; li < len(e.store.Layers); li++ {
+		l := &e.store.Layers[li]
 		in := e.layerIn(li)
 		out := e.act[e.bufOut[li]]
 		var rs *flex.Snapshot
 		if resume != nil && li == startLayer {
 			rs = resume
 		}
-		switch l.Spec.Kind {
-		case "conv":
+		switch l.Kind {
+		case exec.Conv:
 			e.convLayer(d, li, l, in, out, rs)
-		case "pool":
-			e.poolLayer(d, li, l, in, out, rs)
-		case "relu":
-			e.reluLayer(d, li, l, in, out, rs)
-		case "flatten":
+		case exec.Pool, exec.ReLU:
+			e.elementLayer(d, li, l, in, out, rs)
+		case exec.Flatten:
 			// Pure reshape: no data movement at all.
-		case "dense":
+		case exec.Dense:
 			e.denseLayer(d, li, l, in, out, rs)
-		case "bcm":
+		case exec.BCM:
 			e.bcmLayer(d, li, l, in, out, rs)
-		default:
-			return fmt.Errorf("ace: unsupported layer kind %q", l.Spec.Kind)
 		}
 	}
 	return nil
@@ -313,11 +273,8 @@ func (e *Engine) boundary(d *device.Device, pos uint64, snap func() flex.Snapsho
 }
 
 // stageBias DMAs a layer's biases into SRAM.
-func (e *Engine) stageBias(d *device.Device, li int) []fixed.Q15 {
-	b := e.store.B[li]
-	if b == nil {
-		return nil
-	}
+func (e *Engine) stageBias(d *device.Device, l *exec.Layer) []fixed.Q15 {
+	b := l.Bias
 	n := b.Len()
 	d.DMAFromFRAM(n, device.CatDMA)
 	copy(e.biasBuf[:n], b.Raw())
@@ -328,25 +285,23 @@ func (e *Engine) stageBias(d *device.Device, li int) []fixed.Q15 {
 // they exceed the staging budget); per output pixel the im2col window
 // is gathered once and shared across the staged filters, one LEA MAC
 // each.
-func (e *Engine) convLayer(d *device.Device, li int, l *quant.QLayer, in, out *device.NVQ15, rs *flex.Snapshot) {
+func (e *Engine) convLayer(d *device.Device, li int, l *exec.Layer, in, out *device.NVQ15, rs *flex.Snapshot) {
 	s := l.Spec
 	oh := s.InH - s.KH + 1
 	ow := s.InW - s.KW + 1
 	pixels := oh * ow
-	offs := e.windowOffs[li]
-	win := len(offs)
+	win := len(l.Offs)
 	shift := l.AccShift()
 	fpc := e.filtersPerChunk[li]
 	chunks := (s.OutC + fpc - 1) / fpc
 
-	bias := e.stageBias(d, li)
+	bias := e.stageBias(d, l)
 
 	// The FLEX element cursor is chunk-major: elem = chunk·pixels + px.
 	startElem := 0
 	if rs != nil && rs.State == flex.StateElement {
 		startElem = rs.Elem
 	}
-	xRaw := in.Raw()
 	outRaw := out.Raw()
 	for chunk := startElem / pixels; chunk < chunks; chunk++ {
 		oc0 := chunk * fpc
@@ -357,7 +312,7 @@ func (e *Engine) convLayer(d *device.Device, li int, l *quant.QLayer, in, out *d
 		// Stage this chunk's filters (DMA bulk movement).
 		wWords := (oc1 - oc0) * win
 		d.DMAFromFRAM(wWords, device.CatDMA)
-		copy(e.wSRAM[:wWords], e.store.W[li].Raw()[oc0*win:oc1*win])
+		copy(e.wSRAM[:wWords], l.Weights.Raw()[oc0*win:oc1*win])
 
 		px0 := 0
 		if chunk == startElem/pixels {
@@ -371,20 +326,7 @@ func (e *Engine) convLayer(d *device.Device, li int, l *quant.QLayer, in, out *d
 				return flex.Snapshot{Layer: li, State: flex.StateElement, Elem: elem,
 					Pos: e.posBase[li] + uint64(elem)}
 			})
-			// Gather the window: one DMA per contiguous row segment.
-			origin := oy*s.InW + ox
-			i := 0
-			for i < win {
-				j := i + 1
-				for j < win && offs[j] == offs[j-1]+1 {
-					j++
-				}
-				d.DMAFromFRAM(j-i, device.CatDMA)
-				for k := i; k < j; k++ {
-					e.winBuf[k] = xRaw[origin+offs[k]]
-				}
-				i = j
-			}
+			exec.GatherWindow(d, l, in, oy, ox, e.winBuf)
 			// One LEA MAC per staged filter over the shared window.
 			for oc := oc0; oc < oc1; oc++ {
 				d.LEAMAC(win)
@@ -401,17 +343,14 @@ func (e *Engine) convLayer(d *device.Device, li int, l *quant.QLayer, in, out *d
 	}
 }
 
-func (e *Engine) poolLayer(d *device.Device, li int, l *quant.QLayer, in, out *device.NVQ15, rs *flex.Snapshot) {
-	s := l.Spec
-	oh := s.InH / s.PoolSize
-	ow := s.InW / s.PoolSize
-	n := s.InC * oh * ow
+// elementLayer runs a pool or ReLU layer element by element on the
+// CPU, with a FLEX boundary every elemStride elements.
+func (e *Engine) elementLayer(d *device.Device, li int, l *exec.Layer, in, out *device.NVQ15, rs *flex.Snapshot) {
 	start := 0
 	if rs != nil {
 		start = rs.Elem
 	}
-	xRaw := in.Raw()
-	for elem := start; elem < n; elem++ {
+	for elem := start; elem < l.OutLen; elem++ {
 		if elem%elemStride == 0 {
 			el := elem
 			e.boundary(d, e.posBase[li]+uint64(elem), func() flex.Snapshot {
@@ -419,59 +358,23 @@ func (e *Engine) poolLayer(d *device.Device, li int, l *quant.QLayer, in, out *d
 					Pos: e.posBase[li] + uint64(el)}
 			})
 		}
-		c := elem / (oh * ow)
-		rem := elem % (oh * ow)
-		oy := rem / ow
-		ox := rem % ow
-		ps := s.PoolSize
-		d.FRAMRead(ps*ps, device.CatFRAMRead)
-		d.CPUOps(ps * ps)
-		best := fixed.MinusOne
-		for dy := 0; dy < ps; dy++ {
-			for dx := 0; dx < ps; dx++ {
-				v := xRaw[c*s.InH*s.InW+(oy*ps+dy)*s.InW+ox*ps+dx]
-				if v > best {
-					best = v
-				}
-			}
+		if l.Kind == exec.Pool {
+			exec.PoolElem(d, l, in, out, elem, 0)
+		} else {
+			exec.ReLUElem(d, in, out, elem, 2)
 		}
-		out.StoreOne(d, device.CatFRAMWrite, elem, best)
-	}
-}
-
-func (e *Engine) reluLayer(d *device.Device, li int, l *quant.QLayer, in, out *device.NVQ15, rs *flex.Snapshot) {
-	start := 0
-	if rs != nil {
-		start = rs.Elem
-	}
-	xRaw := in.Raw()
-	for elem := start; elem < l.Spec.N; elem++ {
-		if elem%elemStride == 0 {
-			el := elem
-			e.boundary(d, e.posBase[li]+uint64(elem), func() flex.Snapshot {
-				return flex.Snapshot{Layer: li, State: flex.StateElement, Elem: el,
-					Pos: e.posBase[li] + uint64(el)}
-			})
-		}
-		d.FRAMRead(1, device.CatFRAMRead)
-		d.CPUOps(2)
-		v := xRaw[elem]
-		if v < 0 {
-			v = 0
-		}
-		out.StoreOne(d, device.CatFRAMWrite, elem, v)
 	}
 }
 
 // denseLayer: the input vector is staged once in SRAM, then each
 // output row is one DMA (weights) plus one LEA MAC.
-func (e *Engine) denseLayer(d *device.Device, li int, l *quant.QLayer, in, out *device.NVQ15, rs *flex.Snapshot) {
+func (e *Engine) denseLayer(d *device.Device, li int, l *exec.Layer, in, out *device.NVQ15, rs *flex.Snapshot) {
 	s := l.Spec
 	shift := l.AccShift()
 	d.DMAFromFRAM(s.In, device.CatDMA)
 	copy(e.xStage[:s.In], in.Raw()[:s.In])
-	bias := e.stageBias(d, li)
-	wRaw := e.store.W[li].Raw()
+	bias := e.stageBias(d, l)
+	wRaw := l.Weights.Raw()
 
 	start := 0
 	if rs != nil {

@@ -2,6 +2,7 @@ package ace
 
 import (
 	"ehdl/internal/device"
+	"ehdl/internal/exec"
 	"ehdl/internal/fftfixed"
 	"ehdl/internal/fixed"
 	"ehdl/internal/flex"
@@ -23,15 +24,15 @@ import (
 // A FLEX commit at StatePostMPY saves the product spectrum, so a
 // reboot re-enters at the IFFT — the continuation loop-index schemes
 // cannot perform because their only persistent state is an index.
-func (e *Engine) bcmLayer(d *device.Device, li int, l *quant.QLayer, in, out *device.NVQ15, rs *flex.Snapshot) {
+func (e *Engine) bcmLayer(d *device.Device, li int, l *exec.Layer, in, out *device.NVQ15, rs *flex.Snapshot) {
 	s := l.Spec
 	k := s.K
 	p := (s.Out + k - 1) / k
 	q := (s.In + k - 1) / k
 	shift := l.BCMShift()
 
-	bias := e.stageBias(d, li)
-	wRaw := e.store.W[li].Raw()
+	bias := e.stageBias(d, l)
+	wRaw := l.Weights.Raw()
 	xRaw := in.Raw()
 
 	// Cosine normalization: one wide MAC over the input for ‖x‖², a

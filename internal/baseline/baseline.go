@@ -20,85 +20,30 @@ import (
 	"ehdl/internal/quant"
 )
 
-// maxVec is the largest vector staged for the LEA at once.
-const maxVec = 1024
-
 // controlOpsPerElement is the per-element loop/control overhead.
 const controlOpsPerElement = 8
 
-// Engine is the BASE runtime for one inference.
+// Engine is the BASE runtime for one inference. It runs TAILS's
+// element kernels with its own control overhead and no commits in
+// between; only its BCM layers keep their own loop (bcmFIR).
 type Engine struct {
-	d     *device.Device
 	store *exec.ModelStore
-
-	in   *device.NVQ15
-	acts []*device.NVQ15 // one FRAM buffer per layer output (Fig. 5's naive layout)
-
-	xBuf   []fixed.Q15
-	wBuf   []fixed.Q15
-	accBuf []fixed.Q31
-
-	windowOffs map[int][]int
+	exec.Buffers
+	stage exec.Stage
 }
 
 // New builds a BASE engine over an already-flashed model store and an
 // input vector (written to FRAM as the sensor would have left it).
 func New(d *device.Device, store *exec.ModelStore, input []fixed.Q15) (*Engine, error) {
-	m := store.Model
-	if got, want := len(input), m.InShape[0]*m.InShape[1]*m.InShape[2]; got != want {
-		return nil, fmt.Errorf("baseline: input length %d, want %d", got, want)
+	bufs, err := store.NewBuffers(d, input)
+	if err != nil {
+		return nil, fmt.Errorf("baseline: %w", err)
 	}
-	e := &Engine{d: d, store: store, windowOffs: map[int][]int{}}
-	in, err := device.NewNVQ15(d, len(input))
+	stage, err := store.NewStage(d)
 	if err != nil {
 		return nil, err
 	}
-	copy(in.Raw(), input)
-	e.in = in
-
-	vecLen, maxK := 0, 0
-	for li := range m.Layers {
-		l := &m.Layers[li]
-		buf, err := device.NewNVQ15(d, quant.LayerOutLen(l.Spec))
-		if err != nil {
-			return nil, err
-		}
-		e.acts = append(e.acts, buf)
-		switch l.Spec.Kind {
-		case "conv":
-			e.windowOffs[li] = exec.WindowOffsets(l)
-			if n := exec.KernelLen(l); n > vecLen {
-				vecLen = n
-			}
-		case "dense":
-			n := l.Spec.In
-			if n > maxVec {
-				n = maxVec
-			}
-			if n > vecLen {
-				vecLen = n
-			}
-		case "bcm":
-			if l.Spec.K > vecLen {
-				vecLen = l.Spec.K
-			}
-			if l.Spec.K > maxK {
-				maxK = l.Spec.K
-			}
-		}
-	}
-	if e.xBuf, err = device.AllocQ15(d, vecLen); err != nil {
-		return nil, err
-	}
-	if e.wBuf, err = device.AllocQ15(d, vecLen); err != nil {
-		return nil, err
-	}
-	if maxK > 0 {
-		if e.accBuf, err = device.AllocQ31(d, maxK); err != nil {
-			return nil, err
-		}
-	}
-	return e, nil
+	return &Engine{store: store, Buffers: bufs, stage: stage}, nil
 }
 
 // EngineName implements exec.Engine.
@@ -109,176 +54,53 @@ func (e *Engine) EngineName() string { return "base" }
 // the DNF quickly.
 func (e *Engine) Progress() uint64 { return 0 }
 
-// Output implements exec.Engine.
-func (e *Engine) Output() []fixed.Q15 {
-	last := e.acts[len(e.acts)-1]
-	return append([]fixed.Q15(nil), last.Raw()...)
-}
-
 // Boot implements intermittent.Program: one full inference from
 // scratch. BASE holds no persistent progress, so a power failure
 // throws everything away.
 func (e *Engine) Boot(d *device.Device) error {
-	m := e.store.Model
-	in := e.in
-	for li := range m.Layers {
-		l := &m.Layers[li]
-		out := e.acts[li]
-		switch l.Spec.Kind {
-		case "conv":
-			e.conv(d, li, l, in, out)
-		case "pool":
-			e.pool(d, l, in, out)
-		case "relu":
-			e.relu(d, l, in, out)
-		case "flatten":
-			e.copyThrough(d, in, out)
-		case "dense":
-			e.dense(d, li, l, in, out)
-		case "bcm":
-			e.bcmFIR(d, li, l, in, out)
-		default:
-			return fmt.Errorf("baseline: unsupported layer kind %q", l.Spec.Kind)
+	for li := range e.store.Layers {
+		l := &e.store.Layers[li]
+		in, out := e.LayerIn(li), e.Acts[li]
+		switch l.Kind {
+		case exec.Conv:
+			// One LEA MAC per output element, no cross-filter sharing:
+			// that is ACE's dataflow contribution.
+			for elem := 0; elem < l.OutLen; elem++ {
+				exec.ConvElem(d, l, in, out, elem, &e.stage, controlOpsPerElement)
+			}
+		case exec.Pool:
+			for elem := 0; elem < l.OutLen; elem++ {
+				exec.PoolElem(d, l, in, out, elem, controlOpsPerElement)
+			}
+		case exec.ReLU:
+			for elem := 0; elem < l.OutLen; elem++ {
+				exec.ReLUElem(d, in, out, elem, 2)
+			}
+		case exec.Flatten:
+			exec.CopyDMA(d, in, out)
+		case exec.Dense:
+			for r := 0; r < l.OutLen; r++ {
+				exec.DenseRow(d, l, in, out, r, &e.stage, controlOpsPerElement)
+			}
+		case exec.BCM:
+			e.bcmFIR(d, l, in, out)
 		}
-		in = out
 	}
 	return nil
-}
-
-// conv stages window and weights per output element and runs one LEA
-// MAC (no cross-filter sharing: that is ACE's dataflow contribution).
-func (e *Engine) conv(d *device.Device, li int, l *quant.QLayer, in, out *device.NVQ15) {
-	s := l.Spec
-	oh := s.InH - s.KH + 1
-	ow := s.InW - s.KW + 1
-	offs := e.windowOffs[li]
-	win := len(offs)
-	shift := l.AccShift()
-	wRaw := e.store.W[li].Raw()
-	bRaw := e.store.B[li].Raw()
-	xRaw := in.Raw()
-	for oc := 0; oc < s.OutC; oc++ {
-		for oy := 0; oy < oh; oy++ {
-			for ox := 0; ox < ow; ox++ {
-				d.CPUOps(controlOpsPerElement)
-				origin := oy*s.InW + ox
-				i := 0
-				for i < win {
-					j := i + 1
-					for j < win && offs[j] == offs[j-1]+1 {
-						j++
-					}
-					d.DMAFromFRAM(j-i, device.CatDMA)
-					for k := i; k < j; k++ {
-						e.xBuf[k] = xRaw[origin+offs[k]]
-					}
-					i = j
-				}
-				d.DMAFromFRAM(win, device.CatDMA)
-				copy(e.wBuf[:win], wRaw[oc*win:(oc+1)*win])
-				d.LEAMAC(win)
-				acc := fixed.Dot(e.wBuf[:win], e.xBuf[:win])
-				d.FRAMRead(1, device.CatFRAMRead)
-				v := fixed.SatAdd(fixed.NarrowQ31(acc, shift), bRaw[oc])
-				out.StoreOne(d, device.CatFRAMWrite, (oc*oh+oy)*ow+ox, v)
-			}
-		}
-	}
-}
-
-func (e *Engine) pool(d *device.Device, l *quant.QLayer, in, out *device.NVQ15) {
-	s := l.Spec
-	oh := s.InH / s.PoolSize
-	ow := s.InW / s.PoolSize
-	xRaw := in.Raw()
-	for c := 0; c < s.InC; c++ {
-		for oy := 0; oy < oh; oy++ {
-			for ox := 0; ox < ow; ox++ {
-				n := s.PoolSize * s.PoolSize
-				d.FRAMRead(n, device.CatFRAMRead)
-				d.CPUOps(n + controlOpsPerElement)
-				best := fixed.MinusOne
-				for dy := 0; dy < s.PoolSize; dy++ {
-					for dx := 0; dx < s.PoolSize; dx++ {
-						v := xRaw[c*s.InH*s.InW+(oy*s.PoolSize+dy)*s.InW+ox*s.PoolSize+dx]
-						if v > best {
-							best = v
-						}
-					}
-				}
-				out.StoreOne(d, device.CatFRAMWrite, (c*oh+oy)*ow+ox, best)
-			}
-		}
-	}
-}
-
-func (e *Engine) relu(d *device.Device, l *quant.QLayer, in, out *device.NVQ15) {
-	xRaw := in.Raw()
-	for i := 0; i < l.Spec.N; i++ {
-		d.FRAMRead(1, device.CatFRAMRead)
-		d.CPUOps(2)
-		v := xRaw[i]
-		if v < 0 {
-			v = 0
-		}
-		out.StoreOne(d, device.CatFRAMWrite, i, v)
-	}
-}
-
-func (e *Engine) copyThrough(d *device.Device, in, out *device.NVQ15) {
-	n := in.Len()
-	for start := 0; start < n; start += maxVec {
-		end := start + maxVec
-		if end > n {
-			end = n
-		}
-		d.DMAFromFRAM(end-start, device.CatDMA)
-		d.DMAToFRAM(end-start, device.CatDMA)
-		copy(out.Raw()[start:end], in.Raw()[start:end])
-	}
-}
-
-func (e *Engine) dense(d *device.Device, li int, l *quant.QLayer, in, out *device.NVQ15) {
-	s := l.Spec
-	shift := l.AccShift()
-	wRaw := e.store.W[li].Raw()
-	bRaw := e.store.B[li].Raw()
-	xRaw := in.Raw()
-	for r := 0; r < s.Out; r++ {
-		d.CPUOps(controlOpsPerElement)
-		var acc fixed.Q31
-		for start := 0; start < s.In; start += maxVec {
-			end := start + maxVec
-			if end > s.In {
-				end = s.In
-			}
-			n := end - start
-			d.DMAFromFRAM(n, device.CatDMA)
-			copy(e.xBuf[:n], xRaw[start:end])
-			d.DMAFromFRAM(n, device.CatDMA)
-			copy(e.wBuf[:n], wRaw[r*s.In+start:r*s.In+end])
-			d.LEAMAC(n)
-			for k := 0; k < n; k++ {
-				acc = fixed.MAC(acc, e.wBuf[k], e.xBuf[k])
-			}
-		}
-		d.FRAMRead(1, device.CatFRAMRead)
-		v := fixed.SatAdd(fixed.NarrowQ31(acc, shift), bRaw[r])
-		out.StoreOne(d, device.CatFRAMWrite, r, v)
-	}
 }
 
 // bcmFIR computes a BCM layer block row by block row with the LEA's
 // FIR command and circular addressing — identical arithmetic to the
 // TAILS path, minus any checkpoint traffic.
-func (e *Engine) bcmFIR(d *device.Device, li int, l *quant.QLayer, in, out *device.NVQ15) {
+func (e *Engine) bcmFIR(d *device.Device, l *exec.Layer, in, out *device.NVQ15) {
 	s := l.Spec
 	k := s.K
 	p := (s.Out + k - 1) / k
 	q := (s.In + k - 1) / k
-	wRaw := e.store.W[li].Raw()
-	bRaw := e.store.B[li].Raw()
+	wRaw := l.Weights.Raw()
+	bRaw := l.Bias.Raw()
 	xRaw := in.Raw()
+	st := &e.stage
 	scale := fixed.One
 	if l.CosNorm {
 		d.LEAMAC(s.In)
@@ -287,7 +109,7 @@ func (e *Engine) bcmFIR(d *device.Device, li int, l *quant.QLayer, in, out *devi
 	}
 	for i := 0; i < p; i++ {
 		d.CPUOps(controlOpsPerElement)
-		acc := e.accBuf[:k]
+		acc := st.Acc[:k]
 		for t := range acc {
 			acc[t] = 0
 		}
@@ -299,18 +121,18 @@ func (e *Engine) bcmFIR(d *device.Device, li int, l *quant.QLayer, in, out *devi
 				lim = k
 			}
 			d.DMAFromFRAM(k, device.CatDMA)
-			copy(e.wBuf[:k], w)
+			copy(st.W[:k], w)
 			d.DMAFromFRAM(lim, device.CatDMA)
-			copy(e.xBuf[:lim], xRaw[j*k:j*k+lim])
+			copy(st.X[:lim], xRaw[j*k:j*k+lim])
 			if l.CosNorm {
 				d.LEAMAC(lim)
-				fixed.ScaleVec(e.xBuf[:lim], e.xBuf[:lim], scale)
+				fixed.ScaleVec(st.X[:lim], st.X[:lim], scale)
 			}
 			d.LEAMAC(k * lim)
 			for r := 0; r < k; r++ {
 				a := acc[r]
 				for c := 0; c < lim; c++ {
-					a = fixed.MAC(a, e.wBuf[(r-c+k)%k], e.xBuf[c])
+					a = fixed.MAC(a, st.W[(r-c+k)%k], st.X[c])
 				}
 				acc[r] = a
 			}
@@ -322,8 +144,8 @@ func (e *Engine) bcmFIR(d *device.Device, li int, l *quant.QLayer, in, out *devi
 		d.FRAMRead(rowLen, device.CatFRAMRead)
 		d.CPUOps(2 * rowLen)
 		for r := 0; r < rowLen; r++ {
-			e.wBuf[r] = fixed.SatAdd(fixed.NarrowQ31(acc[r], l.AccShift()), bRaw[i*k+r])
+			st.W[r] = fixed.SatAdd(fixed.NarrowQ31(acc[r], l.AccShift()), bRaw[i*k+r])
 		}
-		out.StoreDMA(d, device.CatFRAMWrite, i*k, e.wBuf[:rowLen])
+		out.StoreDMA(d, device.CatFRAMWrite, i*k, st.W[:rowLen])
 	}
 }

@@ -70,13 +70,7 @@ func NewEngine(kind EngineKind, d *device.Device, store *exec.ModelStore, input 
 		if fxCfg != nil {
 			cfg = *fxCfg
 		}
-		maxK := 0
-		for _, l := range store.Model.Layers {
-			if l.Spec.Kind == "bcm" && l.Spec.K > maxK {
-				maxK = l.Spec.K
-			}
-		}
-		fx, err := flex.NewController(d, maxK, cfg)
+		fx, err := flex.NewController(d, store.MaxK, cfg)
 		if err != nil {
 			return nil, err
 		}

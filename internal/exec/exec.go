@@ -1,6 +1,8 @@
 // Package exec holds the pieces shared by the four on-device
 // inference engines (BASE, SONIC, TAILS, ACE/FLEX): the FRAM-resident
-// model image, input/output plumbing, and the Engine contract.
+// model image with its per-layer plan, input/output plumbing, the
+// element kernels the engines have in common, and the Engine
+// contract.
 //
 // Engine discipline for intermittent correctness: Boot is the reset
 // vector. An engine may keep, across Boot calls, only (a) static
@@ -11,6 +13,7 @@
 package exec
 
 import (
+	"errors"
 	"fmt"
 
 	"ehdl/internal/device"
@@ -29,58 +32,185 @@ type Engine interface {
 	Output() []fixed.Q15
 }
 
-// ModelStore is the FRAM image of a quantized model: weights and
-// biases per layer, flashed before deployment (uncharged — firmware
-// programming happens off-device).
-//
-// For shape-pruned conv layers the store keeps only the kept positions
-// per filter (compact layout [oc][kept]), which is what gives pruning
-// its storage and bandwidth win.
-type ModelStore struct {
-	Model *quant.Model
-	W     []*device.NVQ15 // indexed by layer; nil for stateless layers
-	B     []*device.NVQ15
+// Kind is a layer kind resolved once, when the model is flashed, so
+// engines dispatch on a small integer instead of comparing strings.
+type Kind uint8
+
+// The layer kinds every engine executes.
+const (
+	Conv Kind = iota
+	Pool
+	ReLU
+	Flatten
+	Dense
+	BCM
+)
+
+// kinds maps quant's layer-kind names to Kind.
+var kinds = map[string]Kind{
+	"conv": Conv, "pool": Pool, "relu": ReLU,
+	"flatten": Flatten, "dense": Dense, "bcm": BCM,
 }
 
-// NewModelStore reserves FRAM for the model and flashes the weights.
+// ErrUnknownLayerKind reports a layer kind no engine executes.
+var ErrUnknownLayerKind = errors.New("exec: unknown layer kind")
+
+// MaxVec is the largest vector the LEA-staging engines (BASE, TAILS)
+// stage at once; longer dense rows are processed in chunks (the real
+// LEA owns 4 KB of SRAM).
+const MaxVec = 1024
+
+// Layer is one layer of the flashed plan: the quantized layer, its
+// resolved kind and output length, its FRAM weights and biases (nil
+// for stateless layers), and for conv layers the window offsets.
+type Layer struct {
+	*quant.QLayer
+	Kind   Kind
+	OutLen int
+	// Weights and Bias are the layer's FRAM image. Pruned conv layers
+	// keep only the kept positions per filter (compact layout
+	// [oc][kept]), which is what gives pruning its storage and
+	// bandwidth win.
+	Weights, Bias *device.NVQ15
+	// Offs holds, for a conv layer, the input-buffer offset of every
+	// MAC operand relative to the window origin (ic·H·W + ky·W + kx),
+	// in exactly the order the reference executor accumulates;
+	// len(Offs) is the MAC length of one output element.
+	Offs []int
+}
+
+// ModelStore is the FRAM image of a quantized model, flashed before
+// deployment (uncharged — firmware programming happens off-device),
+// together with the per-layer plan every engine executes.
+type ModelStore struct {
+	Model  *quant.Model
+	Layers []Layer
+	// MaxK is the largest BCM block size (0 without BCM layers).
+	MaxK int
+	// StageLen is the longest vector BASE and TAILS stage into SRAM:
+	// a conv window, a dense row chunk of at most MaxVec, or a BCM
+	// block.
+	StageLen int
+}
+
+// NewModelStore resolves the model's layer plan, reserves FRAM for it
+// and flashes the weights. A layer kind no engine executes fails with
+// ErrUnknownLayerKind.
 func NewModelStore(d *device.Device, m *quant.Model) (*ModelStore, error) {
-	s := &ModelStore{
-		Model: m,
-		W:     make([]*device.NVQ15, len(m.Layers)),
-		B:     make([]*device.NVQ15, len(m.Layers)),
-	}
+	s := &ModelStore{Model: m, Layers: make([]Layer, len(m.Layers))}
 	for li := range m.Layers {
-		l := &m.Layers[li]
-		switch l.Spec.Kind {
-		case "conv":
-			w := l.W
-			if l.Kept != nil {
-				w = compactConvWeights(l)
+		ql := &m.Layers[li]
+		kind, ok := kinds[ql.Spec.Kind]
+		if !ok {
+			return nil, fmt.Errorf("%w %q at layer %d", ErrUnknownLayerKind, ql.Spec.Kind, li)
+		}
+		l := &s.Layers[li]
+		l.QLayer, l.Kind, l.OutLen = ql, kind, quant.LayerOutLen(ql.Spec)
+		w, stage := ql.W, 0
+		switch kind {
+		case Conv:
+			l.Offs = convOffsets(ql)
+			stage = len(l.Offs)
+			if ql.Kept != nil {
+				w = compactConvWeights(ql)
 			}
-			nv, err := device.NewNVQ15(d, len(w))
-			if err != nil {
-				return nil, fmt.Errorf("exec: layer %d weights: %w", li, err)
-			}
-			copy(nv.Raw(), w)
-			s.W[li] = nv
-		case "dense", "bcm":
-			nv, err := device.NewNVQ15(d, len(l.W))
-			if err != nil {
-				return nil, fmt.Errorf("exec: layer %d weights: %w", li, err)
-			}
-			copy(nv.Raw(), l.W)
-			s.W[li] = nv
+		case Dense:
+			stage = min(ql.Spec.In, MaxVec)
+		case BCM:
+			stage = ql.Spec.K
+			s.MaxK = max(s.MaxK, ql.Spec.K)
 		default:
 			continue
 		}
-		bv, err := device.NewNVQ15(d, len(l.B))
-		if err != nil {
+		s.StageLen = max(s.StageLen, stage)
+		var err error
+		if l.Weights, err = flash(d, w); err != nil {
+			return nil, fmt.Errorf("exec: layer %d weights: %w", li, err)
+		}
+		if l.Bias, err = flash(d, ql.B); err != nil {
 			return nil, fmt.Errorf("exec: layer %d bias: %w", li, err)
 		}
-		copy(bv.Raw(), l.B)
-		s.B[li] = bv
 	}
 	return s, nil
+}
+
+// flash reserves a FRAM buffer and writes v into it, uncharged.
+func flash(d *device.Device, v []fixed.Q15) (*device.NVQ15, error) {
+	nv, err := device.NewNVQ15(d, len(v))
+	if err != nil {
+		return nil, err
+	}
+	copy(nv.Raw(), v)
+	return nv, nil
+}
+
+// FlashInput checks the input against the model's input shape and
+// writes it to FRAM, as the sensor would have left it.
+func (s *ModelStore) FlashInput(d *device.Device, input []fixed.Q15) (*device.NVQ15, error) {
+	sh := s.Model.InShape
+	if got, want := len(input), sh[0]*sh[1]*sh[2]; got != want {
+		return nil, fmt.Errorf("exec: input length %d, want %d", got, want)
+	}
+	return flash(d, input)
+}
+
+// Buffers is the baselines' FRAM activation layout (Fig. 5's naive
+// one): the flashed input plus one output buffer per layer.
+type Buffers struct {
+	In   *device.NVQ15
+	Acts []*device.NVQ15
+}
+
+// NewBuffers flashes the input and reserves every layer's output
+// buffer.
+func (s *ModelStore) NewBuffers(d *device.Device, input []fixed.Q15) (Buffers, error) {
+	in, err := s.FlashInput(d, input)
+	if err != nil {
+		return Buffers{}, err
+	}
+	b := Buffers{In: in, Acts: make([]*device.NVQ15, len(s.Layers))}
+	for li := range s.Layers {
+		if b.Acts[li], err = device.NewNVQ15(d, s.Layers[li].OutLen); err != nil {
+			return Buffers{}, err
+		}
+	}
+	return b, nil
+}
+
+// LayerIn returns the buffer holding layer li's input.
+func (b Buffers) LayerIn(li int) *device.NVQ15 {
+	if li == 0 {
+		return b.In
+	}
+	return b.Acts[li-1]
+}
+
+// Output returns a copy of the logits, the last layer's output
+// (uncharged host-side read). Engines embedding Buffers inherit it as
+// their Engine.Output.
+func (b Buffers) Output() []fixed.Q15 {
+	return append([]fixed.Q15(nil), b.Acts[len(b.Acts)-1].Raw()...)
+}
+
+// ElemBases returns, for engines that checkpoint a global element
+// cursor, each layer's first element index under count, with the
+// total appended.
+func ElemBases(layers []Layer, count func(*Layer) int) []uint64 {
+	bases := make([]uint64, len(layers)+1)
+	for li := range layers {
+		bases[li+1] = bases[li] + uint64(count(&layers[li]))
+	}
+	return bases
+}
+
+// LayerOf returns the layer that global element elem belongs to.
+func LayerOf(bases []uint64, elem uint64) int {
+	for li := 0; li < len(bases)-1; li++ {
+		if elem < bases[li+1] {
+			return li
+		}
+	}
+	panic("exec: element cursor out of range")
 }
 
 // compactConvWeights packs a pruned conv layer's weights down to the
@@ -97,20 +227,10 @@ func compactConvWeights(l *quant.QLayer) []fixed.Q15 {
 	return out
 }
 
-// KernelLen returns the MAC length of one conv output element for
-// layer l (kept positions when pruned, the full window otherwise).
-func KernelLen(l *quant.QLayer) int {
-	if l.Kept != nil {
-		return len(l.Kept)
-	}
-	return l.Spec.InC * l.Spec.KH * l.Spec.KW
-}
-
-// WindowOffsets returns, for conv layer l, the input-buffer offset of
-// every MAC operand relative to the window origin (ic·H·W + ky·W +
-// kx), in exactly the order the reference executor accumulates. The
-// offsets are static per layer, so engines compute them once.
-func WindowOffsets(l *quant.QLayer) []int {
+// convOffsets returns the MAC operand offsets of conv layer l (see
+// Layer.Offs): the kept positions when pruned, the full window
+// otherwise.
+func convOffsets(l *quant.QLayer) []int {
 	s := l.Spec
 	if l.Kept != nil {
 		offs := make([]int, len(l.Kept))

@@ -196,6 +196,29 @@ func TestFleetScenarioErrorsDoNotAbort(t *testing.T) {
 	}
 }
 
+// TestFleetUnknownLayerKindIsSetupError: a model carrying a layer kind
+// no engine runs must fail its own device at setup on every engine,
+// not crash the fleet, and must leave its neighbour's row untouched.
+func TestFleetUnknownLayerKindIsSetupError(t *testing.T) {
+	good := tinyModel(t)
+	bad := &quant.Model{Name: good.Name, InShape: good.InShape, NumClasses: good.NumClasses,
+		Layers: append([]quant.QLayer(nil), good.Layers...)}
+	bad.Layers[1].Spec.Kind = "gelu"
+	input := make([]fixed.Q15, 16)
+	for _, kind := range core.AllEngines() {
+		goodDev := Scenario{Name: "good", Engine: kind, Model: good, Input: input, Setup: core.PaperHarvestSetup()}
+		badDev := Scenario{Name: "gelu", Engine: kind, Model: bad, Input: input, Setup: core.PaperHarvestSetup()}
+		rep := Run([]Scenario{badDev, goodDev}, 2)
+		if r := rep.Results[0]; r.Err == nil || r.Diagnosis != SetupErrorDiagnosis {
+			t.Errorf("%s: unknown layer kind gave diagnosis %q, err %v; want a setup error", kind, r.Diagnosis, r.Err)
+		}
+		alone := Run([]Scenario{goodDev}, 1)
+		if !reflect.DeepEqual(rep.Results[1], alone.Results[0]) {
+			t.Errorf("%s: neighbour row %+v, alone %+v", kind, rep.Results[1], alone.Results[0])
+		}
+	}
+}
+
 func TestForEach(t *testing.T) {
 	for _, workers := range []int{0, 1, 3, 64} {
 		got := make([]int, 100)

@@ -28,11 +28,8 @@ const controlOpsPerElement = 16
 
 // Engine is the SONIC runtime for one inference.
 type Engine struct {
-	d     *device.Device
 	store *exec.ModelStore
-
-	in   *device.NVQ15
-	acts []*device.NVQ15
+	exec.Buffers
 
 	// progress counts fully completed output elements across the whole
 	// inference (monotonic; the runner watches it).
@@ -49,7 +46,6 @@ type Engine struct {
 	// negligible). A stale or torn value merely causes a recompute.
 	scaleWord device.NVWord
 
-	windowOffs map[int][]int
 	// elemBase[li] is the global element index of layer li's first
 	// output element; elemBase[len] is the total.
 	elemBase []uint64
@@ -57,58 +53,29 @@ type Engine struct {
 
 // New builds a SONIC engine over a flashed model store and input.
 func New(d *device.Device, store *exec.ModelStore, input []fixed.Q15) (*Engine, error) {
-	m := store.Model
-	if got, want := len(input), m.InShape[0]*m.InShape[1]*m.InShape[2]; got != want {
-		return nil, fmt.Errorf("sonic: input length %d, want %d", got, want)
-	}
-	e := &Engine{d: d, store: store, windowOffs: map[int][]int{}}
-	in, err := device.NewNVQ15(d, len(input))
+	bufs, err := store.NewBuffers(d, input)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("sonic: %w", err)
 	}
-	copy(in.Raw(), input)
-	e.in = in
-
-	base := uint64(0)
-	for li := range m.Layers {
-		l := &m.Layers[li]
-		buf, err := device.NewNVQ15(d, quant.LayerOutLen(l.Spec))
-		if err != nil {
-			return nil, err
-		}
-		e.acts = append(e.acts, buf)
-		if l.Spec.Kind == "conv" {
-			e.windowOffs[li] = exec.WindowOffsets(l)
-		}
-		e.elemBase = append(e.elemBase, base)
-		base += uint64(elementCount(l))
-	}
-	e.elemBase = append(e.elemBase, base)
 	// Control state lives in FRAM.
 	if err := d.ReserveFRAM(3 * 8); err != nil {
 		return nil, err
 	}
-	return e, nil
+	return &Engine{store: store, Buffers: bufs, elemBase: exec.ElemBases(store.Layers, elementCount)}, nil
 }
 
 // elementCount returns the number of checkpointable output elements of
 // a layer (one per output value; flatten is a bulk copy counted as a
 // single element).
-func elementCount(l *quant.QLayer) int {
-	if l.Spec.Kind == "flatten" {
+func elementCount(l *exec.Layer) int {
+	if l.Kind == exec.Flatten {
 		return 1
 	}
-	return quant.LayerOutLen(l.Spec)
+	return l.OutLen
 }
 
 // EngineName implements exec.Engine.
 func (e *Engine) EngineName() string { return "sonic" }
-
-// Output implements exec.Engine.
-func (e *Engine) Output() []fixed.Q15 {
-	last := e.acts[len(e.acts)-1]
-	return append([]fixed.Q15(nil), last.Raw()...)
-}
 
 // Progress implements intermittent.ProgressReporter.
 func (e *Engine) Progress() uint64 { return e.progress.Peek() }
@@ -116,47 +83,34 @@ func (e *Engine) Progress() uint64 { return e.progress.Peek() }
 // Boot implements intermittent.Program: resume from the committed
 // element cursor.
 func (e *Engine) Boot(d *device.Device) error {
-	m := e.store.Model
 	done := e.progress.Read(d, device.CatRestore)
 	total := e.elemBase[len(e.elemBase)-1]
 	for done < total {
-		li := e.layerOf(done)
-		l := &m.Layers[li]
-		in := e.in
-		if li > 0 {
-			in = e.acts[li-1]
-		}
-		out := e.acts[li]
+		li := exec.LayerOf(e.elemBase, done)
+		l := &e.store.Layers[li]
+		in, out := e.LayerIn(li), e.Acts[li]
 		elem := int(done - e.elemBase[li])
-		switch l.Spec.Kind {
-		case "conv":
-			e.convElem(d, li, l, in, out, elem, done)
-		case "pool":
-			e.poolElem(d, l, in, out, elem)
-		case "relu":
-			e.reluElem(d, l, in, out, elem)
-		case "flatten":
-			e.copyThrough(d, in, out)
-		case "dense":
-			e.denseElem(d, li, l, in, out, elem, done)
-		case "bcm":
+		switch l.Kind {
+		case exec.Conv:
+			e.convElem(d, l, in, out, elem, done)
+		case exec.Pool:
+			exec.PoolElem(d, l, in, out, elem, controlOpsPerElement)
+		case exec.ReLU:
+			exec.ReLUElem(d, in, out, elem, 2+4) // compare plus SONIC task glue
+		case exec.Flatten:
+			// A CPU-driven bulk copy: SONIC has no DMA.
+			d.FRAMRead(in.Len(), device.CatFRAMRead)
+			d.FRAMWrite(in.Len(), device.CatFRAMWrite)
+			copy(out.Raw(), in.Raw())
+		case exec.Dense:
+			e.denseElem(d, l, in, out, elem, done)
+		case exec.BCM:
 			e.bcmElem(d, li, l, in, out, elem, done)
-		default:
-			return fmt.Errorf("sonic: unsupported layer kind %q", l.Spec.Kind)
 		}
 		done++
 		e.progress.Write(d, device.CatCheckpoint, done)
 	}
 	return nil
-}
-
-func (e *Engine) layerOf(elem uint64) int {
-	for li := 0; li < len(e.elemBase)-1; li++ {
-		if elem < e.elemBase[li+1] {
-			return li
-		}
-	}
-	panic("sonic: element cursor out of range")
 }
 
 // resumeAcc recovers the committed accumulator for element tag, if
@@ -210,7 +164,7 @@ func (e *Engine) macRunFn(d *device.Device, tag uint64, acc fixed.Q31, start, n,
 	return acc
 }
 
-func (e *Engine) convElem(d *device.Device, li int, l *quant.QLayer, in, out *device.NVQ15, elem int, tag uint64) {
+func (e *Engine) convElem(d *device.Device, l *exec.Layer, in, out *device.NVQ15, elem int, tag uint64) {
 	s := l.Spec
 	oh := s.InH - s.KH + 1
 	ow := s.InW - s.KW + 1
@@ -218,9 +172,9 @@ func (e *Engine) convElem(d *device.Device, li int, l *quant.QLayer, in, out *de
 	rem := elem % (oh * ow)
 	oy := rem / ow
 	ox := rem % ow
-	offs := e.windowOffs[li]
+	offs := l.Offs
 	win := len(offs)
-	wRaw := e.store.W[li].Raw()
+	wRaw := l.Weights.Raw()
 	xRaw := in.Raw()
 	origin := oy*s.InW + ox
 
@@ -230,13 +184,13 @@ func (e *Engine) convElem(d *device.Device, li int, l *quant.QLayer, in, out *de
 		wRaw[oc*win:(oc+1)*win], xRaw,
 		func(k int) int { return origin + offs[k] })
 	d.FRAMRead(1, device.CatFRAMRead) // bias
-	v := fixed.SatAdd(fixed.NarrowQ31(acc, l.AccShift()), e.store.B[li].Raw()[oc])
+	v := fixed.SatAdd(fixed.NarrowQ31(acc, l.AccShift()), l.Bias.Raw()[oc])
 	out.StoreOne(d, device.CatFRAMWrite, elem, v)
 }
 
-func (e *Engine) denseElem(d *device.Device, li int, l *quant.QLayer, in, out *device.NVQ15, elem int, tag uint64) {
+func (e *Engine) denseElem(d *device.Device, l *exec.Layer, in, out *device.NVQ15, elem int, tag uint64) {
 	s := l.Spec
-	wRaw := e.store.W[li].Raw()
+	wRaw := l.Weights.Raw()
 	xRaw := in.Raw()
 
 	d.CPUOps(controlOpsPerElement)
@@ -245,20 +199,20 @@ func (e *Engine) denseElem(d *device.Device, li int, l *quant.QLayer, in, out *d
 		wRaw[elem*s.In:(elem+1)*s.In], xRaw[:s.In],
 		func(k int) int { return k })
 	d.FRAMRead(1, device.CatFRAMRead)
-	v := fixed.SatAdd(fixed.NarrowQ31(acc, l.AccShift()), e.store.B[li].Raw()[elem])
+	v := fixed.SatAdd(fixed.NarrowQ31(acc, l.AccShift()), l.Bias.Raw()[elem])
 	out.StoreOne(d, device.CatFRAMWrite, elem, v)
 }
 
 // bcmElem computes one output row of a BCM layer in the time domain
 // (SONIC has no FFT kernel; it streams MACs over the circulant
 // generators with modular indexing, committing like any other loop).
-func (e *Engine) bcmElem(d *device.Device, li int, l *quant.QLayer, in, out *device.NVQ15, elem int, tag uint64) {
+func (e *Engine) bcmElem(d *device.Device, li int, l *exec.Layer, in, out *device.NVQ15, elem int, tag uint64) {
 	s := l.Spec
 	k := s.K
 	q := (s.In + k - 1) / k
 	rk := elem % k
 	i := elem / k
-	wRaw := e.store.W[li].Raw()
+	wRaw := l.Weights.Raw()
 	xRaw := in.Raw()
 
 	d.CPUOps(controlOpsPerElement)
@@ -280,13 +234,13 @@ func (e *Engine) bcmElem(d *device.Device, li int, l *quant.QLayer, in, out *dev
 	acc, start := e.resumeAcc(d, tag)
 	acc = e.macRunFn(d, tag, acc, start, s.In, extraOps, term)
 	d.FRAMRead(1, device.CatFRAMRead)
-	v := fixed.SatAdd(fixed.NarrowQ31(acc, l.AccShift()), e.store.B[li].Raw()[elem])
+	v := fixed.SatAdd(fixed.NarrowQ31(acc, l.AccShift()), l.Bias.Raw()[elem])
 	out.StoreOne(d, device.CatFRAMWrite, elem, v)
 }
 
 // layerScale returns the cosine-normalization factor for layer li,
 // computing and caching it in FRAM on first use.
-func (e *Engine) layerScale(d *device.Device, li int, l *quant.QLayer, x []fixed.Q15) fixed.Q15 {
+func (e *Engine) layerScale(d *device.Device, li int, l *exec.Layer, x []fixed.Q15) fixed.Q15 {
 	w := e.scaleWord.Read(d, device.CatRestore)
 	if w>>16 == uint64(li+1) {
 		return fixed.Q15(int16(uint16(w)))
@@ -296,45 +250,4 @@ func (e *Engine) layerScale(d *device.Device, li int, l *quant.QLayer, x []fixed
 	scale := quant.InputScale(x, l.SIn)
 	e.scaleWord.Write(d, device.CatCheckpoint, uint64(li+1)<<16|uint64(uint16(scale)))
 	return scale
-}
-
-func (e *Engine) poolElem(d *device.Device, l *quant.QLayer, in, out *device.NVQ15, elem int) {
-	s := l.Spec
-	oh := s.InH / s.PoolSize
-	ow := s.InW / s.PoolSize
-	c := elem / (oh * ow)
-	rem := elem % (oh * ow)
-	oy := rem / ow
-	ox := rem % ow
-	n := s.PoolSize * s.PoolSize
-	d.FRAMRead(n, device.CatFRAMRead)
-	d.CPUOps(n + controlOpsPerElement)
-	xRaw := in.Raw()
-	best := fixed.MinusOne
-	for dy := 0; dy < s.PoolSize; dy++ {
-		for dx := 0; dx < s.PoolSize; dx++ {
-			v := xRaw[c*s.InH*s.InW+(oy*s.PoolSize+dy)*s.InW+ox*s.PoolSize+dx]
-			if v > best {
-				best = v
-			}
-		}
-	}
-	out.StoreOne(d, device.CatFRAMWrite, elem, best)
-}
-
-func (e *Engine) reluElem(d *device.Device, l *quant.QLayer, in, out *device.NVQ15, elem int) {
-	d.FRAMRead(1, device.CatFRAMRead)
-	d.CPUOps(2 + 4) // compare plus SONIC task glue
-	v := in.Raw()[elem]
-	if v < 0 {
-		v = 0
-	}
-	out.StoreOne(d, device.CatFRAMWrite, elem, v)
-}
-
-func (e *Engine) copyThrough(d *device.Device, in, out *device.NVQ15) {
-	n := in.Len()
-	d.FRAMRead(n, device.CatFRAMRead)
-	d.FRAMWrite(n, device.CatFRAMWrite)
-	copy(out.Raw(), in.Raw())
 }

@@ -18,20 +18,13 @@ import (
 	"ehdl/internal/quant"
 )
 
-// maxVec is the largest vector the LEA workspace holds at once; longer
-// rows are processed in chunks (the real LEA owns 4 KB of SRAM).
-const maxVec = 1024
-
 // controlOpsPerElement is the per-element task-transition overhead.
 const controlOpsPerElement = 12
 
 // Engine is the TAILS runtime for one inference.
 type Engine struct {
-	d     *device.Device
 	store *exec.ModelStore
-
-	in   *device.NVQ15
-	acts []*device.NVQ15
+	exec.Buffers
 
 	// progress counts completed output elements (committed after each
 	// vector op completes).
@@ -46,81 +39,23 @@ type Engine struct {
 	// rows; it models no SRAM and carries no charge.
 	bcmRow []fixed.Q15
 
-	// SRAM staging for the LEA: one window/row operand buffer, one
-	// weight buffer, and the FIR row accumulators for BCM layers.
-	xBuf   []fixed.Q15
-	wBuf   []fixed.Q15
-	accBuf []fixed.Q31
+	// stage is the LEA's SRAM operands.
+	stage exec.Stage
 
-	windowOffs map[int][]int
-	elemBase   []uint64
+	elemBase []uint64
 }
 
 // New builds a TAILS engine over a flashed model store and input.
 func New(d *device.Device, store *exec.ModelStore, input []fixed.Q15) (*Engine, error) {
-	m := store.Model
-	if got, want := len(input), m.InShape[0]*m.InShape[1]*m.InShape[2]; got != want {
-		return nil, fmt.Errorf("tails: input length %d, want %d", got, want)
-	}
-	e := &Engine{d: d, store: store, windowOffs: map[int][]int{}}
-	in, err := device.NewNVQ15(d, len(input))
+	bufs, err := store.NewBuffers(d, input)
 	if err != nil {
+		return nil, fmt.Errorf("tails: %w", err)
+	}
+	e := &Engine{store: store, Buffers: bufs, elemBase: exec.ElemBases(store.Layers, elementCount)}
+	if e.stage, err = store.NewStage(d); err != nil {
 		return nil, err
 	}
-	copy(in.Raw(), input)
-	e.in = in
-
-	vecLen := 0
-	base := uint64(0)
-	for li := range m.Layers {
-		l := &m.Layers[li]
-		buf, err := device.NewNVQ15(d, quant.LayerOutLen(l.Spec))
-		if err != nil {
-			return nil, err
-		}
-		e.acts = append(e.acts, buf)
-		switch l.Spec.Kind {
-		case "conv":
-			e.windowOffs[li] = exec.WindowOffsets(l)
-			if n := exec.KernelLen(l); n > vecLen {
-				vecLen = n
-			}
-		case "dense":
-			n := l.Spec.In
-			if n > maxVec {
-				n = maxVec
-			}
-			if n > vecLen {
-				vecLen = n
-			}
-		case "bcm":
-			if l.Spec.K > vecLen {
-				vecLen = l.Spec.K
-			}
-		}
-		e.elemBase = append(e.elemBase, base)
-		base += uint64(elementCount(l))
-	}
-	e.elemBase = append(e.elemBase, base)
-
-	e.xBuf, err = device.AllocQ15(d, vecLen)
-	if err != nil {
-		return nil, err
-	}
-	e.wBuf, err = device.AllocQ15(d, vecLen)
-	if err != nil {
-		return nil, err
-	}
-	maxK := 0
-	for li := range m.Layers {
-		if s := m.Layers[li].Spec; s.Kind == "bcm" && s.K > maxK {
-			maxK = s.K
-		}
-	}
-	if maxK > 0 {
-		if e.accBuf, err = device.AllocQ31(d, maxK); err != nil {
-			return nil, err
-		}
+	if maxK := store.MaxK; maxK > 0 {
 		if e.bcmState, err = device.NewNVDoubleQ15(d, 2*maxK+3); err != nil {
 			return nil, err
 		}
@@ -133,148 +68,54 @@ func New(d *device.Device, store *exec.ModelStore, input []fixed.Q15) (*Engine, 
 	return e, nil
 }
 
-func elementCount(l *quant.QLayer) int {
-	switch l.Spec.Kind {
-	case "flatten":
+// elementCount is a layer's number of checkpointed tasks: one per
+// output value, one per BCM block row (the FIR command produces k
+// outputs), and one bulk copy for flatten.
+func elementCount(l *exec.Layer) int {
+	switch l.Kind {
+	case exec.Flatten:
 		return 1
-	case "bcm":
-		// One task per block row: the FIR command produces k outputs.
+	case exec.BCM:
 		return (l.Spec.Out + l.Spec.K - 1) / l.Spec.K
-	default:
-		return quant.LayerOutLen(l.Spec)
 	}
+	return l.OutLen
 }
 
 // EngineName implements exec.Engine.
 func (e *Engine) EngineName() string { return "tails" }
 
-// Output implements exec.Engine.
-func (e *Engine) Output() []fixed.Q15 {
-	last := e.acts[len(e.acts)-1]
-	return append([]fixed.Q15(nil), last.Raw()...)
-}
-
 // Progress implements intermittent.ProgressReporter.
 func (e *Engine) Progress() uint64 { return e.progress.Peek() }
 
-// Boot implements intermittent.Program.
+// Boot implements intermittent.Program. TAILS re-stages weights and
+// window per element: its tasks are self-contained so that any of
+// them can be replayed.
 func (e *Engine) Boot(d *device.Device) error {
-	m := e.store.Model
 	done := e.progress.Read(d, device.CatRestore)
 	total := e.elemBase[len(e.elemBase)-1]
 	for done < total {
-		li := e.layerOf(done)
-		l := &m.Layers[li]
-		in := e.in
-		if li > 0 {
-			in = e.acts[li-1]
-		}
-		out := e.acts[li]
+		li := exec.LayerOf(e.elemBase, done)
+		l := &e.store.Layers[li]
+		in, out := e.LayerIn(li), e.Acts[li]
 		elem := int(done - e.elemBase[li])
-		switch l.Spec.Kind {
-		case "conv":
-			e.convElem(d, li, l, in, out, elem)
-		case "pool":
-			e.poolElem(d, l, in, out, elem)
-		case "relu":
-			e.reluElem(d, l, in, out, elem)
-		case "flatten":
-			e.copyThrough(d, in, out)
-		case "dense":
-			e.denseElem(d, li, l, in, out, elem)
-		case "bcm":
-			e.bcmElem(d, li, l, in, out, elem)
-		default:
-			return fmt.Errorf("tails: unsupported layer kind %q", l.Spec.Kind)
+		switch l.Kind {
+		case exec.Conv:
+			exec.ConvElem(d, l, in, out, elem, &e.stage, controlOpsPerElement)
+		case exec.Pool:
+			exec.PoolElem(d, l, in, out, elem, controlOpsPerElement)
+		case exec.ReLU:
+			exec.ReLUElem(d, in, out, elem, 2+2)
+		case exec.Flatten:
+			exec.CopyDMA(d, in, out)
+		case exec.Dense:
+			exec.DenseRow(d, l, in, out, elem, &e.stage, controlOpsPerElement)
+		case exec.BCM:
+			e.bcmElem(d, l, in, out, elem)
 		}
 		done++
 		e.progress.Write(d, device.CatCheckpoint, done)
 	}
 	return nil
-}
-
-func (e *Engine) layerOf(elem uint64) int {
-	for li := 0; li < len(e.elemBase)-1; li++ {
-		if elem < e.elemBase[li+1] {
-			return li
-		}
-	}
-	panic("tails: element cursor out of range")
-}
-
-// gatherWindow DMAs the kernel window for output position (oy, ox)
-// into xBuf: one DMA per contiguous input row segment, the access
-// pattern the real DMA engine supports.
-func (e *Engine) gatherWindow(d *device.Device, l *quant.QLayer, in *device.NVQ15, oy, ox int, offs []int) {
-	s := l.Spec
-	xRaw := in.Raw()
-	origin := oy*s.InW + ox
-	// Count contiguous runs: offsets are sorted row-major, so runs are
-	// maximal stretches of consecutive offsets.
-	i := 0
-	for i < len(offs) {
-		j := i + 1
-		for j < len(offs) && offs[j] == offs[j-1]+1 {
-			j++
-		}
-		d.DMAFromFRAM(j-i, device.CatDMA)
-		for k := i; k < j; k++ {
-			e.xBuf[k] = xRaw[origin+offs[k]]
-		}
-		i = j
-	}
-}
-
-func (e *Engine) convElem(d *device.Device, li int, l *quant.QLayer, in, out *device.NVQ15, elem int) {
-	s := l.Spec
-	oh := s.InH - s.KH + 1
-	ow := s.InW - s.KW + 1
-	oc := elem / (oh * ow)
-	rem := elem % (oh * ow)
-	oy := rem / ow
-	ox := rem % ow
-	offs := e.windowOffs[li]
-	win := len(offs)
-
-	d.CPUOps(controlOpsPerElement)
-	// TAILS re-stages weights and window per element: its tasks are
-	// self-contained so that any of them can be replayed.
-	e.gatherWindow(d, l, in, oy, ox, offs)
-	d.DMAFromFRAM(win, device.CatDMA)
-	copy(e.wBuf[:win], e.store.W[li].Raw()[oc*win:(oc+1)*win])
-
-	d.LEAMAC(win)
-	acc := fixed.Dot(e.wBuf[:win], e.xBuf[:win])
-	d.FRAMRead(1, device.CatFRAMRead)
-	v := fixed.SatAdd(fixed.NarrowQ31(acc, l.AccShift()), e.store.B[li].Raw()[oc])
-	out.StoreOne(d, device.CatFRAMWrite, elem, v)
-}
-
-func (e *Engine) denseElem(d *device.Device, li int, l *quant.QLayer, in, out *device.NVQ15, elem int) {
-	s := l.Spec
-	wRaw := e.store.W[li].Raw()
-	xRaw := in.Raw()
-
-	d.CPUOps(controlOpsPerElement)
-	var acc fixed.Q31
-	for start := 0; start < s.In; start += maxVec {
-		end := start + maxVec
-		if end > s.In {
-			end = s.In
-		}
-		n := end - start
-		d.DMAFromFRAM(n, device.CatDMA)
-		copy(e.xBuf[:n], xRaw[start:end])
-		d.DMAFromFRAM(n, device.CatDMA)
-		copy(e.wBuf[:n], wRaw[elem*s.In+start:elem*s.In+end])
-		d.LEAMAC(n)
-		for k := 0; k < n; k++ {
-			acc = fixed.MAC(acc, e.wBuf[k], e.xBuf[k])
-		}
-	}
-	d.FRAMRead(1, device.CatFRAMRead)
-	v := fixed.SatAdd(fixed.NarrowQ31(acc, l.AccShift()), e.store.B[li].Raw()[elem])
-	out.StoreOne(d, device.CatFRAMWrite, elem, v)
 }
 
 // bcmElem computes one block row (k outputs) of a BCM layer with the
@@ -285,13 +126,14 @@ func (e *Engine) denseElem(d *device.Device, li int, l *quant.QLayer, in, out *d
 // O(k/log k) more arithmetic than ACE (Fig. 8 quantifies the gap).
 // The FLEX-style stage intermediates do not exist here: a power
 // failure mid-row rolls back to the row's start (Fig. 6, left).
-func (e *Engine) bcmElem(d *device.Device, li int, l *quant.QLayer, in, out *device.NVQ15, elem int) {
+func (e *Engine) bcmElem(d *device.Device, l *exec.Layer, in, out *device.NVQ15, elem int) {
 	s := l.Spec
 	k := s.K
 	q := (s.In + k - 1) / k
 	i := elem // element = block row index
-	wRaw := e.store.W[li].Raw()
+	wRaw := l.Weights.Raw()
 	xRaw := in.Raw()
+	st := &e.stage
 
 	d.CPUOps(controlOpsPerElement)
 	scale := fixed.One
@@ -302,7 +144,7 @@ func (e *Engine) bcmElem(d *device.Device, li int, l *quant.QLayer, in, out *dev
 	}
 	// Row accumulators live in LEA SRAM for the duration of the row;
 	// the committed copy in FRAM survives outages.
-	acc := e.accBuf[:k]
+	acc := st.Acc[:k]
 	j0 := e.restoreBCMRow(d, uint64(elem), acc)
 	if j0 == 0 {
 		for t := range acc {
@@ -317,19 +159,19 @@ func (e *Engine) bcmElem(d *device.Device, li int, l *quant.QLayer, in, out *dev
 			lim = k
 		}
 		d.DMAFromFRAM(k, device.CatDMA)
-		copy(e.wBuf[:k], w)
+		copy(st.W[:k], w)
 		d.DMAFromFRAM(lim, device.CatDMA)
-		copy(e.xBuf[:lim], xRaw[j*k:j*k+lim])
+		copy(st.X[:lim], xRaw[j*k:j*k+lim])
 		if l.CosNorm {
 			d.LEAMAC(lim)
-			fixed.ScaleVec(e.xBuf[:lim], e.xBuf[:lim], scale)
+			fixed.ScaleVec(st.X[:lim], st.X[:lim], scale)
 		}
 		// One FIR command: k outputs × lim taps of MAC throughput.
 		d.LEAMAC(k * lim)
 		for r := 0; r < k; r++ {
 			a := acc[r]
 			for c := 0; c < lim; c++ {
-				a = fixed.MAC(a, e.wBuf[(r-c+k)%k], e.xBuf[c])
+				a = fixed.MAC(a, st.W[(r-c+k)%k], st.X[c])
 			}
 			acc[r] = a
 		}
@@ -341,12 +183,12 @@ func (e *Engine) bcmElem(d *device.Device, li int, l *quant.QLayer, in, out *dev
 	}
 	d.FRAMRead(rowLen, device.CatFRAMRead) // biases
 	d.CPUOps(2 * rowLen)
-	bRaw := e.store.B[li].Raw()
+	bRaw := l.Bias.Raw()
 	for r := 0; r < rowLen; r++ {
 		v := fixed.SatAdd(fixed.NarrowQ31(acc[r], l.AccShift()), bRaw[i*k+r])
-		e.wBuf[r] = v
+		st.W[r] = v
 	}
-	out.StoreDMA(d, device.CatFRAMWrite, i*k, e.wBuf[:rowLen])
+	out.StoreDMA(d, device.CatFRAMWrite, i*k, st.W[:rowLen])
 }
 
 // commitBCMRow persists the FIR accumulators plus the next block
@@ -385,52 +227,4 @@ func (e *Engine) restoreBCMRow(d *device.Device, tag uint64, acc []fixed.Q31) in
 		acc[t] = fixed.Q31(int32(hi | lo))
 	}
 	return int(int16(buf[2*k]))
-}
-
-func (e *Engine) poolElem(d *device.Device, l *quant.QLayer, in, out *device.NVQ15, elem int) {
-	s := l.Spec
-	oh := s.InH / s.PoolSize
-	ow := s.InW / s.PoolSize
-	c := elem / (oh * ow)
-	rem := elem % (oh * ow)
-	oy := rem / ow
-	ox := rem % ow
-	n := s.PoolSize * s.PoolSize
-	d.FRAMRead(n, device.CatFRAMRead)
-	d.CPUOps(n + controlOpsPerElement)
-	xRaw := in.Raw()
-	best := fixed.MinusOne
-	for dy := 0; dy < s.PoolSize; dy++ {
-		for dx := 0; dx < s.PoolSize; dx++ {
-			v := xRaw[c*s.InH*s.InW+(oy*s.PoolSize+dy)*s.InW+ox*s.PoolSize+dx]
-			if v > best {
-				best = v
-			}
-		}
-	}
-	out.StoreOne(d, device.CatFRAMWrite, elem, best)
-}
-
-func (e *Engine) reluElem(d *device.Device, l *quant.QLayer, in, out *device.NVQ15, elem int) {
-	d.FRAMRead(1, device.CatFRAMRead)
-	d.CPUOps(2 + 2)
-	v := in.Raw()[elem]
-	if v < 0 {
-		v = 0
-	}
-	out.StoreOne(d, device.CatFRAMWrite, elem, v)
-}
-
-// copyThrough is a flatten layer: a bulk FRAM-to-FRAM DMA copy.
-func (e *Engine) copyThrough(d *device.Device, in, out *device.NVQ15) {
-	n := in.Len()
-	for start := 0; start < n; start += maxVec {
-		end := start + maxVec
-		if end > n {
-			end = n
-		}
-		d.DMAFromFRAM(end-start, device.CatDMA)
-		d.DMAToFRAM(end-start, device.CatDMA)
-		copy(out.Raw()[start:end], in.Raw()[start:end])
-	}
 }

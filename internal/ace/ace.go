@@ -74,7 +74,8 @@ func New(d *device.Device, store *exec.ModelStore, input []fixed.Q15, fx *flex.C
 	// Size the two circular buffers: the largest activation, padded up
 	// to the BCM block grid where needed.
 	bufLen := store.Model.MaxActivationLen()
-	maxWin, maxConvW, maxBias, maxOutC, maxDenseIn := 0, 0, 0, 0, 0
+	maxWin, maxConvW, maxBias, maxOutC := 0, 0, 0, 0
+	maxDenseIn := 0
 	pos := uint64(0)
 	cur := 0
 	for li := range store.Layers {
@@ -84,7 +85,9 @@ func New(d *device.Device, store *exec.ModelStore, input []fixed.Q15, fx *flex.C
 		switch l.Kind {
 		case exec.Conv:
 			win := len(l.Offs)
-			maxWin = max(maxWin, win)
+			if win > maxWin {
+				maxWin = win
+			}
 			fpc := l.Spec.OutC
 			if fpc*win > convWBudgetWords {
 				fpc = convWBudgetWords / win
@@ -93,8 +96,12 @@ func New(d *device.Device, store *exec.ModelStore, input []fixed.Q15, fx *flex.C
 				}
 			}
 			e.filtersPerChunk[li] = fpc
-			maxConvW = max(maxConvW, fpc*win)
-			maxOutC = max(maxOutC, fpc)
+			if w := fpc * win; w > maxConvW {
+				maxConvW = w
+			}
+			if fpc > maxOutC {
+				maxOutC = fpc
+			}
 			chunks := (l.Spec.OutC + fpc - 1) / fpc
 			oh := l.Spec.InH - l.Spec.KH + 1
 			ow := l.Spec.InW - l.Spec.KW + 1
@@ -106,18 +113,24 @@ func New(d *device.Device, store *exec.ModelStore, input []fixed.Q15, fx *flex.C
 		case exec.Flatten:
 			// No movement, no progress units, no buffer flip.
 		case exec.Dense:
-			maxDenseIn = max(maxDenseIn, l.Spec.In)
+			if l.Spec.In > maxDenseIn {
+				maxDenseIn = l.Spec.In
+			}
 			pos += uint64(l.Spec.Out)
 			cur ^= 1
 		case exec.BCM:
 			k := l.Spec.K
 			p := (l.Spec.Out + k - 1) / k
 			q := (l.Spec.In + k - 1) / k
-			bufLen = max(bufLen, q*k)
+			if padded := q * k; padded > bufLen {
+				bufLen = padded
+			}
 			pos += uint64(p*q) * 3
 			cur ^= 1
 		}
-		maxBias = max(maxBias, len(l.B))
+		if n := len(l.B); n > maxBias {
+			maxBias = n
+		}
 		e.bufOut = append(e.bufOut, cur)
 	}
 	e.posBase = append(e.posBase, pos)
@@ -147,7 +160,10 @@ func New(d *device.Device, store *exec.ModelStore, input []fixed.Q15, fx *flex.C
 		return nil, err
 	}
 	maxK := store.MaxK
-	stage := max(maxK, maxDenseIn)
+	stage := maxK
+	if maxDenseIn > stage {
+		stage = maxDenseIn
+	}
 	if e.xStage, err = alloc(stage); err != nil {
 		return nil, err
 	}
@@ -187,7 +203,8 @@ func (e *Engine) EngineName() string {
 func (e *Engine) Output() []fixed.Q15 {
 	last := len(e.store.Layers) - 1
 	n := e.store.Layers[last].OutLen
-	return append([]fixed.Q15(nil), e.act[e.bufOut[last]].Raw()[:n]...)
+	buf := e.act[e.bufOut[last]]
+	return append([]fixed.Q15(nil), buf.Raw()[:n]...)
 }
 
 // Progress implements intermittent.ProgressReporter: plain ACE makes
@@ -222,7 +239,6 @@ func (e *Engine) snapPos(s flex.Snapshot) uint64 {
 
 // Boot implements intermittent.Program.
 func (e *Engine) Boot(d *device.Device) error {
-
 	startLayer := 0
 	var resume *flex.Snapshot
 	if e.fx != nil {

@@ -11,11 +11,13 @@ import (
 	"io"
 	"math/rand"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"ehdl/internal/cli"
 	"ehdl/internal/core"
 	"ehdl/internal/device"
 	"ehdl/internal/experiments"
@@ -661,6 +663,104 @@ func BenchmarkFleetMemo(b *testing.B) {
 		}
 		b.ReportMetric(100*float64(rep.Memo.Hits())/float64(devices), "hit-%")
 	})
+}
+
+// replayScenario is a citywide-like scenario over 64 devices: ACE+FLEX
+// rooftops on quantized jitter, TAILS offices on a sine and SONIC
+// cellars on a constant supply. Resized, device i cycles through its
+// spec and the bundle's 64 test inputs, so at most 104 distinct memo
+// keys cover any fleet size.
+const replayScenario = `{
+  "defaults": { "model": "mnist.gob", "engine": "ace+flex" },
+  "devices": [
+    { "name": "rooftop", "count": 40, "jitter": 0.25, "jitter_steps": 2 },
+    { "name": "office", "count": 16, "engine": "tails", "cap_f": 220e-6,
+      "profile": { "kind": "sine", "power_w": 6e-3, "period_s": 0.2 } },
+    { "name": "cellar", "count": 8, "engine": "sonic",
+      "profile": { "kind": "const", "power_w": 2.5e-3 } }
+  ]
+}`
+
+// BenchmarkFleetMemoReplay measures a memo replay, the city-warm
+// shape: replayScenario resized to 16,384 devices behind a memo that
+// one untimed sweep filled, 2 workers, rows to an NDJSON sink on
+// io.Discard. Every timed device is a full hit, so only the row
+// pipeline runs: scenario build, memo probe and lookup, aggregation
+// and row encoding. Reported as devices/s and heap allocations per
+// device.
+func BenchmarkFleetMemoReplay(b *testing.B) {
+	dir := b.TempDir()
+	if err := cli.SaveModel(filepath.Join(dir, "mnist.gob"), replayModel(b)); err != nil {
+		b.Fatal(err)
+	}
+	sf, err := cli.DecodeScenarioFile(strings.NewReader(replayScenario))
+	if err != nil {
+		b.Fatal(err)
+	}
+	base, err := cli.CompileFleetSource(sf, dir, 1, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	const devices = 16384
+	src := base.Resize(devices)
+	m := memo.New(0)
+	sweep := func() {
+		if _, err := fleet.RunStream(src, fleet.StreamOptions{
+			Workers: 2, Memo: m, Sink: fleet.NewNDJSONSink(io.Discard),
+		}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	sweep()
+	filled := m.Stats()
+	var ms0, ms1 runtime.MemStats
+	runtime.ReadMemStats(&ms0)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sweep()
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&ms1)
+	if st := m.Stats(); st.Misses != filled.Misses {
+		b.Fatalf("%d misses after the fill sweep, want 0", st.Misses-filled.Misses)
+	}
+	n := float64(devices) * float64(b.N)
+	b.ReportMetric(n/b.Elapsed().Seconds(), "devices/s")
+	b.ReportMetric(float64(ms1.Mallocs-ms0.Mallocs)/n, "allocs/device")
+}
+
+// replayModel quantizes a randomly initialized model with MNIST's
+// name and input geometry, so the scenario compiler pairs it with the
+// MNIST test set (784-word inputs).
+func replayModel(b *testing.B) *quant.Model {
+	b.Helper()
+	arch := &nn.Arch{
+		Name: "mnist", InShape: [3]int{1, 28, 28}, NumClasses: 10,
+		Specs: []nn.LayerSpec{
+			{Kind: "conv", InC: 1, InH: 28, InW: 28, OutC: 2, KH: 5, KW: 5},
+			{Kind: "pool", InC: 2, InH: 24, InW: 24, PoolSize: 2},
+			{Kind: "relu", N: 2 * 12 * 12},
+			{Kind: "flatten", N: 288},
+			{Kind: "bcm", In: 288, Out: 32, K: 16, WeightNorm: true},
+			{Kind: "relu", N: 32},
+			{Kind: "dense", In: 32, Out: 10},
+		},
+	}
+	rng := rand.New(rand.NewSource(9))
+	net := arch.Build(rng)
+	calib := make([][]float64, 4)
+	for i := range calib {
+		x := make([]float64, arch.InLen())
+		for j := range x {
+			x[j] = rng.Float64()*2 - 1
+		}
+		calib[i] = x
+	}
+	m, err := quant.Quantize(net, arch, calib)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return m
 }
 
 // BenchmarkCheckpointOverhead regenerates §IV-A.5: FLEX's

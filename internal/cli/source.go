@@ -17,6 +17,7 @@ import (
 	"math"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"sync"
 
 	"ehdl/internal/core"
@@ -159,9 +160,9 @@ func (s *FleetSource) At(i int) (fleet.Scenario, error) {
 	name := spec.name
 	switch {
 	case s.n != s.natural:
-		name = fmt.Sprintf("%s/%d", spec.name, i)
+		name = spec.name + "/" + strconv.Itoa(i)
 	case spec.count > 1:
-		name = fmt.Sprintf("%s/%d", spec.name, base-s.cum[k])
+		name = spec.name + "/" + strconv.Itoa(base-s.cum[k])
 	}
 	return fleet.Scenario{
 		Name:   name,

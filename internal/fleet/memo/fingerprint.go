@@ -1,8 +1,6 @@
 package memo
 
 import (
-	"encoding/binary"
-	"hash/fnv"
 	"math"
 
 	"ehdl/internal/flex"
@@ -23,12 +21,8 @@ import (
 // false Tier-1 hit is the one failure mode the memo must never have,
 // so unknown profiles bypass memoization entirely.
 func harvestFingerprint(cfg harvest.Config, p harvest.Profile, fx *flex.Config, r *intermittent.Runner) (uint64, bool) {
-	h := fnv.New64a()
-	var buf [8]byte
-	u := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
-	}
+	h := fnv64a(fnvOffset64)
+	u := h.word
 	f := func(v float64) { u(math.Float64bits(v)) }
 	b := func(v bool) {
 		if v {
@@ -93,5 +87,22 @@ func harvestFingerprint(cfg harvest.Config, p harvest.Profile, fx *flex.Config, 
 		b(r.NoFastForward)
 		u(uint64(r.LedgerDepth))
 	}
-	return h.Sum64(), true
+	return uint64(h), true
+}
+
+// fnv64a is FNV-1a over 64 bits (hash/fnv's New64a) as a value, so
+// the fingerprint allocates nothing.
+type fnv64a uint64
+
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// word hashes v as its 8 little-endian bytes.
+func (h *fnv64a) word(v uint64) {
+	for k := 0; k < 64; k += 8 {
+		*h ^= fnv64a(byte(v >> k))
+		*h *= fnvPrime64
+	}
 }

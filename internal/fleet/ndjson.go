@@ -22,7 +22,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
+	"strconv"
 	"sync"
 )
 
@@ -77,12 +79,110 @@ func makeRow(i int, r Result, tagMemo bool) NDJSONRow {
 	return row
 }
 
+// rowEncoder appends rows into one reused buffer and writes each with
+// a single Write, byte for byte what json.Encoder.Encode writes.
+type rowEncoder struct {
+	w   io.Writer
+	buf []byte
+}
+
+func (e *rowEncoder) encode(row *NDJSONRow) error {
+	b, ok := appendRow(e.buf[:0], row)
+	if !ok {
+		line, err := json.Marshal(*row)
+		if err != nil {
+			return err
+		}
+		b = append(append(b[:0], line...), '\n')
+	}
+	e.buf = b
+	_, err := e.w.Write(b)
+	return err
+}
+
+// appendRow appends row's JSON line to b. ok is false when the row
+// holds a non-finite float (an encoding error) or a string that needs
+// escaping; the caller then encodes the row with encoding/json, so
+// both cases keep its exact bytes and errors.
+func appendRow(b []byte, row *NDJSONRow) (_ []byte, ok bool) {
+	for _, s := range [...]string{row.Device, row.Engine, row.Profile, row.Diag, row.Err, row.Memo} {
+		if !plainJSON(s) {
+			return b, false
+		}
+	}
+	for _, v := range [...]float64{row.ActiveSec, row.WallSec, row.EnergyMJ} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return b, false
+		}
+	}
+	b = strconv.AppendInt(append(b, `{"i":`...), int64(row.Index), 10)
+	b = appendString(b, `,"device":`, row.Device)
+	b = appendString(b, `,"engine":`, row.Engine)
+	if row.Profile != "" {
+		b = appendString(b, `,"profile":`, row.Profile)
+	}
+	b = strconv.AppendBool(append(b, `,"completed":`...), row.Completed)
+	b = strconv.AppendInt(append(b, `,"predicted":`...), int64(row.Predicted), 10)
+	b = strconv.AppendUint(append(b, `,"boots":`...), row.Boots, 10)
+	b = appendFloat(append(b, `,"active_s":`...), row.ActiveSec)
+	b = appendFloat(append(b, `,"wall_s":`...), row.WallSec)
+	b = appendFloat(append(b, `,"energy_mj":`...), row.EnergyMJ)
+	if row.Diag != "" {
+		b = appendString(b, `,"diag":`, row.Diag)
+	}
+	if row.FFBoots != 0 {
+		b = strconv.AppendUint(append(b, `,"ff_boots":`...), row.FFBoots, 10)
+	}
+	if row.Err != "" {
+		b = appendString(b, `,"err":`, row.Err)
+	}
+	if row.Memo != "" {
+		b = appendString(b, `,"memo":`, row.Memo)
+	}
+	return append(b, "}\n"...), true
+}
+
+// appendString appends key and s quoted; s must be plainJSON.
+func appendString(b []byte, key, s string) []byte {
+	b = append(append(b, key...), '"')
+	return append(append(b, s...), '"')
+}
+
+// appendFloat appends a finite v as encoding/json writes a float64:
+// 'f' format, or 'e' below 1e-6 and from 1e21 up with a two-digit
+// negative exponent shortened (e-07 to e-7).
+func appendFloat(b []byte, v float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(v); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, v, format, -1, 64)
+	if n := len(b); format == 'e' && n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1]
+		b = b[:n-1]
+	}
+	return b
+}
+
+// plainJSON reports whether s encodes as itself between quotes:
+// printable ASCII without the bytes encoding/json escapes (", \ and
+// the HTML-sensitive <, >, &).
+func plainJSON(s string) bool {
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c < 0x20 || c > 0x7e, c == '"', c == '\\', c == '<', c == '>', c == '&':
+			return false
+		}
+	}
+	return true
+}
+
 // NDJSONSink writes one row per line to w. It does not buffer: wrap w
 // in a bufio.Writer (and flush it after RunStream returns) when
 // writing to a file — or use NDJSONFile, which buffers, fsyncs on
 // Flush, and supports checkpoint resume.
 type NDJSONSink struct {
-	enc  *json.Encoder
+	enc  rowEncoder
 	next int
 
 	// TagMemo opts rows into the "memo" hit/miss field. Off by
@@ -94,13 +194,13 @@ type NDJSONSink struct {
 // NewNDJSONSink returns a sink streaming rows to w, expecting rows
 // from index 0.
 func NewNDJSONSink(w io.Writer) *NDJSONSink {
-	return &NDJSONSink{enc: json.NewEncoder(w)}
+	return &NDJSONSink{enc: rowEncoder{w: w}}
 }
 
 // NewNDJSONSinkAt returns a sink streaming rows to w, expecting the
 // first row at global index start (a partitioned or resumed run).
 func NewNDJSONSinkAt(w io.Writer, start int) *NDJSONSink {
-	return &NDJSONSink{enc: json.NewEncoder(w), next: start}
+	return &NDJSONSink{enc: rowEncoder{w: w}, next: start}
 }
 
 // Consume implements Sink.
@@ -109,7 +209,8 @@ func (s *NDJSONSink) Consume(i int, r Result) error {
 		return fmt.Errorf("fleet: NDJSON sink got row %d, want %d", i, s.next)
 	}
 	s.next++
-	return s.enc.Encode(makeRow(i, r, s.TagMemo))
+	row := makeRow(i, r, s.TagMemo)
+	return s.enc.encode(&row)
 }
 
 // ErrResumeRows: the NDJSON file on disk holds fewer rows than the
@@ -127,7 +228,7 @@ type NDJSONFile struct {
 	mu     sync.Mutex
 	f      *os.File
 	bw     *bufio.Writer
-	enc    *json.Encoder
+	enc    rowEncoder
 	next   int
 	closed bool
 
@@ -183,7 +284,7 @@ func resumeNDJSONFile(path string, keep, next int) (*NDJSONFile, error) {
 
 func newNDJSONFile(f *os.File, start int) *NDJSONFile {
 	bw := bufio.NewWriterSize(f, ndjsonBufSize)
-	return &NDJSONFile{f: f, bw: bw, enc: json.NewEncoder(bw), next: start}
+	return &NDJSONFile{f: f, bw: bw, enc: rowEncoder{w: bw}, next: start}
 }
 
 // Consume implements Sink.
@@ -194,7 +295,8 @@ func (s *NDJSONFile) Consume(i int, r Result) error {
 		return fmt.Errorf("fleet: NDJSON sink got row %d, want %d", i, s.next)
 	}
 	s.next++
-	return s.enc.Encode(makeRow(i, r, s.TagMemo))
+	row := makeRow(i, r, s.TagMemo)
+	return s.enc.encode(&row)
 }
 
 // Flush implements Flusher: drains the write buffer and fsyncs, so

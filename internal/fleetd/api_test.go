@@ -95,10 +95,12 @@ func TestCancelLifecycleConflicts(t *testing.T) {
 
 	// A long single-worker job exercises the real cancel path: DELETE
 	// while it runs, then watch it reach cancelled at its frontier.
+	// The gate holds it at device 64 until the cancel.
+	gateJobs(t, srv, 64)
 	long := postJob(t, ts, jobBody(t, scenarioDoc, map[string]any{
 		"seed": 2, "devices": 3000, "workers": 1, "chunk_size": 64,
 	}))
-	waitRows(t, ts, long.ID, 64)
+	waitRows(t, srv, ts, long.ID, 64)
 
 	// No report exists before the job is done.
 	status, data = apiCall(t, ts, http.MethodGet, "/v1/jobs/"+long.ID+"/report", nil)

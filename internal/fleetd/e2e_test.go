@@ -119,12 +119,14 @@ func TestRestartResumesInFlightJobToIdenticalBytes(t *testing.T) {
 
 	srv1, ts1 := startServer(t, dir, cfg)
 	const devices = 4000
+	// The gate holds the job at device 256 until the drain cancels it.
+	gateJobs(t, srv1, 256)
 	js := postJob(t, ts1, jobBody(t, scenarioDoc, map[string]any{
 		"seed": 2, "devices": devices, "workers": 1, "chunk_size": 32, "checkpoint_every": 64,
 	}))
 
 	// Let it get well into the fleet, then kill the daemon.
-	waitRows(t, ts1, js.ID, 256)
+	waitRows(t, srv1, ts1, js.ID, 256)
 	srv1.Drain()
 	ts1.Close()
 

@@ -90,6 +90,11 @@ type Server struct {
 	memo      *memo.Memo
 	artifacts *cli.ArtifactCache
 
+	// wrapSource, when set, wraps each job's compiled source before
+	// it runs; tests use it to hold a job at a chosen device. Set it
+	// under mu before the jobs it should see are scheduled.
+	wrapSource func(ctx context.Context, src fleet.Source) fleet.Source
+
 	mu       sync.Mutex
 	jobs     map[string]*Job
 	nextID   int
@@ -390,7 +395,11 @@ func (s *Server) executeJob(j *Job, ctx context.Context) error {
 		opts.Memo = s.memo
 	}
 
-	rep, err := run.Stream(src, opts)
+	var stream fleet.Source = src
+	if s.wrapSource != nil {
+		stream = s.wrapSource(ctx, stream)
+	}
+	rep, err := run.Stream(stream, opts)
 	// Drop the closed run so a finished job does not pin its row
 	// buffer; a follower that grabbed it first flushes a no-op.
 	j.mu.Lock()

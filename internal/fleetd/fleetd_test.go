@@ -18,6 +18,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
@@ -297,24 +298,90 @@ func referenceRun(t *testing.T, baseDir, scenario string, o refOptions) ([]byte,
 	return rows, fleet.RenderReport(rep)
 }
 
-// waitRows polls a job's status until rows_delivered reaches want,
-// failing if the job goes terminal or the deadline passes first.
-func waitRows(t *testing.T, ts *httptest.Server, id string, want int) {
+// gate holds every job a server starts at device index at: that
+// device blocks until release is called or the job's context ends (a
+// cancel or a drain), and reached receives once per job as it gets
+// there. A test can therefore look at a job mid-run without racing
+// its end.
+type gate struct {
+	at      int
+	reached chan struct{}
+	open    chan struct{}
+	once    sync.Once
+}
+
+// gateJobs installs a gate at device at on every job srv starts from
+// now on. Cleanup releases it, before the server drains.
+func gateJobs(t *testing.T, srv *Server, at int) *gate {
 	t.Helper()
-	deadline := time.Now().Add(time.Minute)
+	g := &gate{at: at, reached: make(chan struct{}, 64), open: make(chan struct{})}
+	srv.mu.Lock()
+	srv.wrapSource = func(ctx context.Context, src fleet.Source) fleet.Source {
+		return gatedSource{Source: src, g: g, ctx: ctx}
+	}
+	srv.mu.Unlock()
+	t.Cleanup(g.release)
+	return g
+}
+
+func (g *gate) release() { g.once.Do(func() { close(g.open) }) }
+
+// wait blocks until n jobs have reached the gate.
+func (g *gate) wait(t *testing.T, n int) {
+	t.Helper()
+	timeout := time.After(time.Minute)
+	for k := 0; k < n; k++ {
+		select {
+		case <-g.reached:
+		case <-timeout:
+			t.Fatalf("%d of %d jobs reached device %d", k, n, g.at)
+		}
+	}
+}
+
+type gatedSource struct {
+	fleet.Source
+	g   *gate
+	ctx context.Context
+}
+
+func (s gatedSource) At(i int) (fleet.Scenario, error) {
+	if i == s.g.at {
+		s.g.reached <- struct{}{}
+		select {
+		case <-s.g.open:
+		case <-s.ctx.Done():
+		}
+	}
+	return s.Source.At(i)
+}
+
+// waitRows waits until a job's status reports at least want rows
+// delivered, waking on the job's change signal instead of polling. It
+// fails if the job goes terminal or a minute passes first; gate the
+// job at device want so it cannot end before the rows arrive.
+func waitRows(t *testing.T, srv *Server, ts *httptest.Server, id string, want int) {
+	t.Helper()
+	j, ok := srv.job(id)
+	if !ok {
+		t.Fatalf("no job %s", id)
+	}
+	timeout := time.After(time.Minute)
 	for {
+		changed := j.changed()
 		js := getStatus(t, ts, id)
 		if js.RowsDelivered >= want {
 			return
 		}
 		if js.State.Terminal() {
-			t.Fatalf("job %s reached %s with %d rows, wanted to observe %d mid-run (grow the fleet)",
+			t.Fatalf("job %s reached %s with %d rows, wanted to observe %d mid-run",
 				id, js.State, js.RowsDelivered, want)
 		}
-		if time.Now().After(deadline) {
+		select {
+		case <-changed:
+		case <-timeout:
 			t.Fatalf("job %s stuck at %d rows, want %d", id, js.RowsDelivered, want)
 		}
-		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -14,7 +14,6 @@ import (
 	"net/http"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestConcurrentJobsSharedPoolDeterministic(t *testing.T) {
@@ -36,6 +35,10 @@ func TestConcurrentJobsSharedPoolDeterministic(t *testing.T) {
 		{seed: 3, workers: 16, devices: 400, memo: true},
 	}
 
+	// Every job holds at device 200 until released, so when the last
+	// one gets there all four are running at once on the shared pool
+	// (each holds one of its four slots).
+	g := gateJobs(t, srv, 200)
 	ids := make([]string, len(specs))
 	var wg sync.WaitGroup
 	for i, sp := range specs {
@@ -50,40 +53,25 @@ func TestConcurrentJobsSharedPoolDeterministic(t *testing.T) {
 	}
 	wg.Wait()
 
-	// Watch the scheduler while the jobs run: with MaxActive 4 and
-	// four long jobs, at least three must be active at once.
-	maxActive := 0
-	watchDone := make(chan struct{})
-	go func() {
-		defer close(watchDone)
-		for {
-			var m Metrics
-			status, data := apiCall(t, ts, http.MethodGet, "/v1/metrics", nil)
-			if status != http.StatusOK || json.Unmarshal(data, &m) != nil {
-				return
-			}
-			if m.Active > maxActive {
-				maxActive = m.Active
-			}
-			done := 0
-			for _, id := range ids {
-				if getStatus(t, ts, id).State.Terminal() {
-					done++
-				}
-			}
-			if done == len(ids) {
-				return
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}()
+	// Read the scheduler while the jobs are held: with MaxActive 4 and
+	// four jobs, at least three must be active at once.
+	g.wait(t, len(specs))
+	var held Metrics
+	status, data := apiCall(t, ts, http.MethodGet, "/v1/metrics", nil)
+	if status != http.StatusOK {
+		t.Fatalf("GET /v1/metrics: %d %s", status, data)
+	}
+	if err := json.Unmarshal(data, &held); err != nil {
+		t.Fatal(err)
+	}
+	maxActive := held.Active
+	g.release()
 
 	for i, id := range ids {
 		if st := waitTerminal(t, ts, id); st != StateDone {
 			t.Fatalf("job %d (%s) finished %s, want done", i, id, st)
 		}
 	}
-	<-watchDone
 	if maxActive < 3 {
 		t.Errorf("observed at most %d simultaneously active jobs, want >= 3 on the shared pool", maxActive)
 	}
@@ -121,7 +109,7 @@ func TestConcurrentJobsSharedPoolDeterministic(t *testing.T) {
 	// process-wide memo, every job the shared artifact cache, and the
 	// drained pool must have released every slot.
 	var m Metrics
-	status, data := apiCall(t, ts, http.MethodGet, "/v1/metrics", nil)
+	status, data = apiCall(t, ts, http.MethodGet, "/v1/metrics", nil)
 	if status != http.StatusOK {
 		t.Fatalf("GET /v1/metrics: %d %s", status, data)
 	}

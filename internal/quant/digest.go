@@ -32,11 +32,20 @@ func (m *Model) ContentDigest() [32]byte {
 }
 
 // HashQ15 returns the SHA-256 of a Q15 slice (little-endian int16
-// stream) — the input half of a fleet memo key.
+// stream) — the input half of a fleet memo key. The words stream
+// through a fixed chunk, so the hash needs no 2·len(xs)-byte copy.
 func HashQ15(xs []fixed.Q15) [32]byte {
-	buf := make([]byte, 2*len(xs))
-	for i, x := range xs {
-		binary.LittleEndian.PutUint16(buf[2*i:], uint16(x))
+	h := sha256.New()
+	var chunk [512]byte
+	for len(xs) > 0 {
+		n := min(len(xs), len(chunk)/2)
+		for i, x := range xs[:n] {
+			binary.LittleEndian.PutUint16(chunk[2*i:], uint16(x))
+		}
+		h.Write(chunk[:2*n])
+		xs = xs[n:]
 	}
-	return sha256.Sum256(buf)
+	var d [32]byte
+	h.Sum(d[:0])
+	return d
 }

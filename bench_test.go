@@ -17,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"ehdl"
 	"ehdl/internal/cli"
 	"ehdl/internal/core"
 	"ehdl/internal/device"
@@ -476,7 +477,7 @@ func BenchmarkFleet(b *testing.B) {
 	var rep fleet.Report
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rep = fleet.Run(scenarios, 0)
+		rep = ehdl.RunFleet(scenarios, 0)
 	}
 	for _, r := range rep.Results {
 		if r.Err != nil && !r.Completed && r.Boots == 0 {

@@ -20,10 +20,13 @@
 //	ehfleet ... -shard 2/8 -out shard2/ [-resume]
 //	ehfleet -merge out/ shard0/ shard1/ shard2/ ...
 //
-// The first form builds a homogeneous fleet from flags: -engine
-// accepts one runtime, a comma-separated list cycled across the
-// fleet, or "all"; -jitter spreads each device's peak power uniformly
-// in [power·(1−j), power·(1+j)], deterministically from -seed.
+// The first form is a one-spec scenario document: the flags fill in
+// one device spec named "dev" with count -n, which is compiled
+// exactly as a -scenarios file is, so its devices are named dev/0 …
+// dev/N-1. -engine accepts one runtime, a comma-separated list cycled
+// across the fleet by device index, or "all"; -jitter spreads each
+// device's peak power uniformly in [power·(1−j), power·(1+j)],
+// deterministically from -seed.
 //
 // The second form expands a declarative scenario file: a JSON
 // document of heterogeneous (engine × capacitance × profile/trace ×
@@ -46,8 +49,8 @@
 // directory (rows.ndjson + shard.ehdl, checkpointed and resumable
 // the same way); -merge folds completed shard directories back into
 // the single-process report and NDJSON, byte-identically. Mismatched
-// checkpoints and shards (different scenario file, seed, size or
-// shard split) are rejected.
+// checkpoints and shards (different scenario file or flags, model
+// content in flag mode, seed, size or shard split) are rejected.
 //
 // -memo turns on fleet-wide inference memoization (see the README's
 // "Fleet memoization" section): devices whose content-addressed run —
@@ -61,18 +64,15 @@
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
 	"os"
-	"strings"
 
 	"ehdl/internal/cli"
-	"ehdl/internal/core"
-	"ehdl/internal/fixed"
 	"ehdl/internal/fleet"
 	"ehdl/internal/fleet/memo"
-	"ehdl/internal/harvest"
 )
 
 // rowTableLimit is the largest fleet whose per-device rows are still
@@ -147,54 +147,32 @@ func main() {
 		log.Fatal("-resume needs -checkpoint FILE or -shard i/N")
 	}
 
-	var src fleet.Source
+	set := map[string]bool{} // the flags given on the command line
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	var src *cli.FleetSource
 	var header string
 	if *scenarios != "" {
 		// The fleet shape comes entirely from the file (-n resizes
 		// it); an explicitly set shape flag would be silently
 		// ignored, so reject it.
-		shapeFlags := map[string]bool{
-			"model": true, "engine": true, "profile": true,
-			"power": true, "period": true, "duty": true, "trace": true,
-			"trace-repeat": true, "jitter": true, "jitter-steps": true,
-			"cap": true, "leak": true,
-		}
-		flag.Visit(func(f *flag.Flag) {
-			if shapeFlags[f.Name] {
-				log.Fatalf("-%s has no effect with -scenarios (the scenario file declares the fleet shape)", f.Name)
+		for _, name := range []string{"cap", "duty", "engine", "jitter", "jitter-steps", "leak",
+			"model", "period", "power", "profile", "trace", "trace-repeat"} {
+			if set[name] {
+				log.Fatalf("-%s has no effect with -scenarios (the scenario file declares the fleet shape)", name)
 			}
-		})
-		fileSrc, err := cli.LoadFleetSource(*scenarios, *seed)
-		if err != nil {
+		}
+		if src, err = cli.LoadFleetSource(*scenarios, *seed); err != nil {
 			log.Fatal(err)
 		}
-		nSet := false
-		flag.Visit(func(f *flag.Flag) { nSet = nSet || f.Name == "n" })
-		if nSet {
+		if set["n"] {
 			switch {
 			case *n < 0:
 				log.Fatalf("-n must be >= 0, got %d", *n)
 			case *n > 0:
-				fileSrc = fileSrc.Resize(*n)
+				src = src.Resize(*n)
 			}
 			// -n 0 keeps the declared size, as the flag help says.
 		}
-		// The file's "memo" block supplies defaults; explicit -memo /
-		// -memo-cap flags win.
-		memoSet, memoCapSet := false, false
-		flag.Visit(func(f *flag.Flag) {
-			memoSet = memoSet || f.Name == "memo"
-			memoCapSet = memoCapSet || f.Name == "memo-cap"
-		})
-		if ms := fileSrc.Memo(); ms != nil {
-			if !memoSet {
-				*memoOn = ms.Enabled
-			}
-			if !memoCapSet && ms.Capacity != 0 {
-				*memoCap = ms.Capacity
-			}
-		}
-		src = fileSrc
 		header = fmt.Sprintf("scenario file: %s   devices: %d", *scenarios, src.Len())
 		if files.Checkpoint != "" {
 			if files.Fingerprint, err = cli.ScenarioFingerprint(*scenarios, *seed, src.Len()); err != nil {
@@ -202,27 +180,40 @@ func main() {
 			}
 		}
 	} else {
-		var err error
-		if src, files.Fingerprint, err = flagSource(flagFleet{
-			model:       *modelPath,
-			engines:     *engines,
-			profile:     *profile,
-			power:       *power,
-			period:      *period,
-			duty:        *duty,
-			trace:       *tracePath,
-			traceRepeat: *traceRepeat,
-			jitter:      *jitter,
-			jitterSteps: *jitterSteps,
-			capF:        *capF,
-			leak:        *leak,
-			n:           *n,
-			seed:        *seed,
-		}); err != nil {
-			log.Fatal(err)
+		if *modelPath == "" {
+			log.Fatal("-model or -scenarios is required")
+		}
+		if *n < 1 {
+			log.Fatalf("-n must be >= 1, got %d", *n)
+		}
+		// Flag mode is a one-spec scenario document, every field set
+		// from its flag, compiled the way a -scenarios file is.
+		sf := &cli.ScenarioFile{Devices: []cli.DeviceSpec{{
+			Name: "dev", Count: n, Model: *modelPath, Engine: *engines,
+			CapF: capF, LeakW: leak, Jitter: jitter, JitterSteps: jitterSteps,
+			Profile: &cli.ProfileSpec{Kind: *profile, PowerW: power, Period: period,
+				Duty: duty, Trace: *tracePath, Repeat: *traceRepeat},
+		}}}
+		if src, err = cli.CompileFleetSource(sf, ".", *seed, nil); err != nil {
+			log.Fatalf("flag mode: %v", err)
 		}
 		header = fmt.Sprintf("model: %s   profile: %s %.1f mW ±%.0f%%   cap: %.0f uF   devices: %d",
 			*modelPath, *profile, *power*1e3, *jitter*100, *capF*1e6, src.Len())
+		if files.Checkpoint != "" {
+			if files.Fingerprint, err = flagFingerprint(sf, src, *seed); err != nil {
+				log.Fatal(err)
+			}
+		}
+	}
+	// A scenario file's "memo" block supplies defaults; explicit -memo
+	// / -memo-cap flags win.
+	if ms := src.Memo(); ms != nil {
+		if !set["memo"] {
+			*memoOn = ms.Enabled
+		}
+		if !set["memo-cap"] && ms.Capacity != 0 {
+			*memoCap = ms.Capacity
+		}
 	}
 	pstart, pend := part.Range(src.Len())
 	if sharding {
@@ -277,125 +268,19 @@ func runMerge(outDir string, dirs []string) error {
 	return nil
 }
 
-// flagFleet is the parsed flag-mode fleet shape.
-type flagFleet struct {
-	model       string
-	engines     string
-	profile     string
-	trace       string
-	traceRepeat bool
-	power       float64
-	period      float64
-	duty        float64
-	jitter      float64
-	jitterSteps int
-	capF        float64
-	leak        float64
-	n           int
-	seed        int64
-}
-
-// flagSource builds the homogeneous flag-mode fleet as a lazy source:
-// the model, dataset and converted inputs are shared, and each
-// device's profile is built on demand from its index alone. The
-// returned fingerprint is the run identity (model content + every
-// shape flag) for checkpoints and shard artifacts.
-func flagSource(f flagFleet) (fleet.Source, string, error) {
-	if f.model == "" {
-		return nil, "", fmt.Errorf("-model or -scenarios is required")
-	}
-	if f.jitter < 0 || f.jitter >= 1 {
-		return nil, "", fmt.Errorf("-jitter must be in [0, 1), got %g", f.jitter)
-	}
-	if f.jitterSteps < 0 {
-		return nil, "", fmt.Errorf("-jitter-steps must be >= 0, got %d", f.jitterSteps)
-	}
-	if f.n < 1 {
-		return nil, "", fmt.Errorf("-n must be >= 1, got %d", f.n)
-	}
-	m, err := cli.LoadModel(f.model)
+// flagFingerprint is the run identity of a flag-mode fleet: the
+// generated document's scenario fingerprint plus the model's content
+// digest, so a checkpoint or shard never resumes against a swapped
+// model file.
+func flagFingerprint(sf *cli.ScenarioFile, src *cli.FleetSource, seed int64) (string, error) {
+	doc, err := json.Marshal(sf)
 	if err != nil {
-		return nil, "", err
+		return "", err
 	}
-	set, err := cli.DatasetFor(m, f.seed)
+	first, err := src.At(0)
 	if err != nil {
-		return nil, "", err
+		return "", err
 	}
-	inputs := make([][]fixed.Q15, len(set.Test))
-	for i := range set.Test {
-		inputs[i] = fixed.FromFloats(set.Test[i].Input)
-	}
-
-	kinds, err := parseEngines(f.engines)
-	if err != nil {
-		return nil, "", err
-	}
-	var baseTrace *harvest.TraceProfile
-	if f.profile == "trace" {
-		if f.trace == "" {
-			return nil, "", fmt.Errorf("-profile trace requires -trace FILE")
-		}
-		if baseTrace, err = harvest.LoadTraceFile(f.trace, f.traceRepeat); err != nil {
-			return nil, "", err
-		}
-	}
-	// Validate the waveform once at the unjittered scale, so a bad
-	// flag fails before the fleet starts.
-	if _, err := cli.BuildProfile(f.profile, f.power, f.period, f.duty, baseTrace, 1); err != nil {
-		return nil, "", err
-	}
-
-	cfg := harvest.PaperConfig()
-	cfg.CapacitanceF = f.capF
-	cfg.LeakageW = f.leak
-
-	digest := m.ContentDigest()
-	fingerprint := cli.FleetFingerprint(
-		"flags",
-		fmt.Sprintf("%x", digest),
-		f.engines, f.profile, f.trace,
-		fmt.Sprintf("trace-repeat=%t", f.traceRepeat),
-		fmt.Sprintf("power=%g period=%g duty=%g", f.power, f.period, f.duty),
-		fmt.Sprintf("jitter=%g steps=%d", f.jitter, f.jitterSteps),
-		fmt.Sprintf("cap=%g leak=%g", f.capF, f.leak),
-		fmt.Sprintf("n=%d seed=%d", f.n, f.seed),
-	)
-
-	return fleet.FuncSource(f.n, func(i int) (fleet.Scenario, error) {
-		prof, err := cli.BuildProfile(f.profile, f.power, f.period, f.duty, baseTrace,
-			cli.QuantizedJitterScale(f.seed, i, f.jitter, f.jitterSteps))
-		if err != nil {
-			return fleet.Scenario{}, err
-		}
-		return fleet.Scenario{
-			Name:   fmt.Sprintf("dev%02d", i),
-			Engine: kinds[i%len(kinds)],
-			Model:  m,
-			Input:  inputs[i%len(inputs)],
-			Setup:  core.HarvestSetup{Config: cfg, Profile: prof},
-		}, nil
-	}), fingerprint, nil
-}
-
-// parseEngines expands the -engine flag into a runtime cycle.
-func parseEngines(s string) ([]core.EngineKind, error) {
-	if s == "all" {
-		return core.AllEngines(), nil
-	}
-	var kinds []core.EngineKind
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		kind, err := cli.ParseEngine(part)
-		if err != nil {
-			return nil, err
-		}
-		kinds = append(kinds, kind)
-	}
-	if len(kinds) == 0 {
-		return nil, fmt.Errorf("no engines in %q", s)
-	}
-	return kinds, nil
+	return cli.FleetFingerprint(cli.ScenarioBytesFingerprint(doc, seed, src.Len()),
+		fmt.Sprintf("%x", first.Model.ContentDigest())), nil
 }

@@ -161,7 +161,20 @@ func NewFleetScenario(name string, engine Engine, m *Model, input []float64, h H
 // scenario order regardless of scheduling. It materializes one result
 // row per scenario — use StreamFleet for fleets too large to hold.
 func RunFleet(scenarios []FleetScenario, workers int) FleetReport {
-	return fleet.Run(scenarios, workers)
+	collect := &fleet.Collector{Rows: make([]fleet.Result, 0, len(scenarios))}
+	rep, err := fleet.RunStream(fleet.SliceSource(scenarios), fleet.StreamOptions{
+		Workers: workers,
+		// Every row is materialized anyway, so percentiles stay exact
+		// at any fleet size.
+		ExactPercentiles: len(scenarios),
+		Sink:             collect,
+	})
+	if err != nil {
+		// A Collector never fails and a SliceSource never errors.
+		panic(err)
+	}
+	rep.Results = collect.Rows
+	return rep
 }
 
 // RenderFleetReport formats a fleet report for terminals.

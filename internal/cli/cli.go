@@ -8,6 +8,7 @@ package cli
 
 import (
 	"fmt"
+	"strings"
 
 	"ehdl/internal/artifact"
 	"ehdl/internal/core"
@@ -78,4 +79,28 @@ func ParseEngine(s string) (core.EngineKind, error) {
 		}
 	}
 	return "", fmt.Errorf("unknown engine %q (want one of %v)", s, core.AllEngines())
+}
+
+// parseEngines expands an engine field into the runtime cycle its
+// devices draw from: one runtime, a comma-separated list, or "all".
+func parseEngines(s string) ([]core.EngineKind, error) {
+	if s == "all" {
+		return core.AllEngines(), nil
+	}
+	var kinds []core.EngineKind
+	for _, part := range strings.Split(s, ",") {
+		part = strings.TrimSpace(part)
+		if part == "" {
+			continue
+		}
+		kind, err := ParseEngine(part)
+		if err != nil {
+			return nil, err
+		}
+		kinds = append(kinds, kind)
+	}
+	if len(kinds) == 0 {
+		return nil, fmt.Errorf("no engines in %q", s)
+	}
+	return kinds, nil
 }

@@ -3,8 +3,9 @@ package cli
 // Run fingerprints: the scenario/config identity embedded in fleet
 // checkpoints and shard artifacts. Resuming a checkpoint or merging
 // shards is only sound against the exact same run — same scenario
-// file bytes (or flag shape and model content), same expansion seed,
-// same resolved fleet size — so the CLIs hash that identity here and
+// file bytes (or ehfleet's generated flag-mode document plus the
+// model content), same expansion seed, same resolved fleet size — so
+// the CLIs hash that identity here and
 // internal/fleet rejects any state whose fingerprint differs
 // (fleet.ErrCheckpointMismatch, fleet.ErrShardMismatch).
 

@@ -20,7 +20,7 @@ func TestQuantizedJitterScale(t *testing.T) {
 	const jitter, steps = 0.3, 8
 	seen := map[float64]int{}
 	for i := 0; i < 2000; i++ {
-		s := QuantizedJitterScale(7, i, jitter, steps)
+		s := quantizedJitterScale(7, i, jitter, steps)
 		if s < 1-jitter || s >= 1+jitter {
 			t.Fatalf("device %d: scale %v outside [%v, %v)", i, s, 1-jitter, 1+jitter)
 		}
@@ -36,13 +36,7 @@ func TestQuantizedJitterScale(t *testing.T) {
 			t.Errorf("scale %v is not a bin midpoint (k=%v)", s, k)
 		}
 	}
-	// steps <= 0 must be the continuous draw, bit-for-bit.
-	for i := 0; i < 50; i++ {
-		if QuantizedJitterScale(7, i, jitter, 0) != JitterScale(7, i, jitter) {
-			t.Fatal("steps=0 diverges from the continuous JitterScale")
-		}
-	}
-	if QuantizedJitterScale(7, 3, 0, steps) != 1 {
+	if quantizedJitterScale(7, 3, 0, steps) != 1 {
 		t.Fatal("zero jitter must scale by exactly 1")
 	}
 }
@@ -67,7 +61,7 @@ func TestScenarioJitterSteps(t *testing.T) {
 		return path
 	}
 	classes := func(path string) int {
-		scenarios, err := LoadScenarios(path, 1)
+		scenarios, err := loadFleet(path, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

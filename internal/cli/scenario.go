@@ -67,7 +67,9 @@ type DeviceSpec struct {
 	Count *int `json:"count,omitempty"`
 	// Model is the artifact path (relative to the scenario file).
 	Model string `json:"model,omitempty"`
-	// Engine is the runtime: base, sonic, tails, ace, ace+flex.
+	// Engine is the runtime (base, sonic, tails, ace, ace+flex), a
+	// comma-separated list of them, or "all"; expanded device i runs
+	// entry i mod the list length, i being its global fleet index.
 	Engine string `json:"engine,omitempty"`
 	// CapF is the capacitance in farads.
 	CapF *float64 `json:"cap_f,omitempty"`
@@ -161,8 +163,8 @@ func specName(d *DeviceSpec, idx int) string {
 }
 
 // BuildProfile constructs a validated harvest profile — the one
-// waveform switch behind ehsim, ehfleet's flag mode and the scenario
-// source. power/period/duty apply where the kind uses them; trace
+// waveform switch behind ehsim and the scenario source (which
+// ehfleet's flag mode compiles through too). power/period/duty apply where the kind uses them; trace
 // must be the preloaded trace for kind "trace"; scale multiplies the
 // profile's power (per-device jitter; pass 1 for none).
 func BuildProfile(kind string, power, period, duty float64, trace *harvest.TraceProfile, scale float64) (harvest.Profile, error) {

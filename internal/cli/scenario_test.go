@@ -41,11 +41,44 @@ func writeScenarioBundle(t *testing.T) string {
 	return filepath.Join(dir, "fleet.json")
 }
 
+// loadFleet compiles the scenario file at path and builds every
+// device through At, in order.
+func loadFleet(path string, seed int64) ([]fleet.Scenario, error) {
+	src, err := LoadFleetSource(path, seed)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]fleet.Scenario, src.Len())
+	for i := range out {
+		if out[i], err = src.At(i); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// runFleet simulates the scenarios into a collected report with
+// exact percentiles and every row materialized.
+func runFleet(t *testing.T, scenarios []fleet.Scenario, workers int) fleet.Report {
+	t.Helper()
+	collect := &fleet.Collector{}
+	rep, err := fleet.RunStream(fleet.SliceSource(scenarios), fleet.StreamOptions{
+		Workers:          workers,
+		ExactPercentiles: len(scenarios),
+		Sink:             collect,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep.Results = collect.Rows
+	return rep
+}
+
 // TestScenarioExpansion: heterogeneous specs expand deterministically
 // and the fleet runs them to a deterministic report.
 func TestScenarioExpansion(t *testing.T) {
 	path := writeScenarioBundle(t)
-	scenarios, err := LoadScenarios(path, 1)
+	scenarios, err := loadFleet(path, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +108,7 @@ func TestScenarioExpansion(t *testing.T) {
 	}
 
 	// Same (file, seed) → identical expansion.
-	again, err := LoadScenarios(path, 1)
+	again, err := loadFleet(path, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +116,7 @@ func TestScenarioExpansion(t *testing.T) {
 		t.Fatal("expansion is not deterministic")
 	}
 	// A different seed must move the jittered profiles.
-	other, err := LoadScenarios(path, 2)
+	other, err := loadFleet(path, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,11 +131,11 @@ func TestScenarioFleetRunDeterministic(t *testing.T) {
 	}
 	path := writeScenarioBundle(t)
 	run := func() []fleet.Result {
-		scenarios, err := LoadScenarios(path, 1)
+		scenarios, err := loadFleet(path, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep := fleet.Run(scenarios, 0)
+		rep := runFleet(t, scenarios, 0)
 		for i := range rep.Results {
 			rep.Results[i].Err = nil // errors carry no comparable state
 		}
@@ -138,7 +171,7 @@ func TestScenarioUnnamedSpecsGetDistinctNames(t *testing.T) {
 	if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	scenarios, err := LoadScenarios(path, 1)
+	scenarios, err := loadFleet(path, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +194,7 @@ func TestScenarioExplicitZeroPower(t *testing.T) {
 	if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	scenarios, err := LoadScenarios(path, 1)
+	scenarios, err := loadFleet(path, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +208,7 @@ func TestScenarioExplicitZeroPower(t *testing.T) {
 	if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadScenarios(path, 1); err == nil {
+	if _, err := loadFleet(path, 1); err == nil {
 		t.Fatal("duty 0 silently replaced by the default")
 	}
 }
@@ -213,7 +246,7 @@ func TestScenarioErrors(t *testing.T) {
 			if err := os.WriteFile(path, []byte(tc.doc), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			_, err := LoadScenarios(path, 1)
+			_, err := loadFleet(path, 1)
 			if err == nil {
 				t.Fatal("malformed scenario accepted")
 			}
@@ -237,7 +270,7 @@ func TestScenarioRelativePaths(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer os.Chdir(wd)
-	if _, err := LoadScenarios(path, 1); err != nil {
+	if _, err := loadFleet(path, 1); err != nil {
 		t.Fatalf("relative paths broke away from the scenario dir: %v", err)
 	}
 }

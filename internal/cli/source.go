@@ -37,7 +37,7 @@ import (
 type compiledSpec struct {
 	name        string
 	count       int
-	engine      core.EngineKind
+	engines     []core.EngineKind // device i runs engines[i % len]
 	cfg         harvest.Config
 	jitter      float64
 	jitterSteps int
@@ -166,7 +166,7 @@ func (s *FleetSource) At(i int) (fleet.Scenario, error) {
 	}
 	return fleet.Scenario{
 		Name:   name,
-		Engine: spec.engine,
+		Engine: spec.engines[i%len(spec.engines)],
 		Model:  b.model,
 		Input:  b.inputs[sampleIdx],
 		Setup:  core.HarvestSetup{Config: spec.cfg, Profile: profile, Runner: spec.runner},
@@ -174,7 +174,7 @@ func (s *FleetSource) At(i int) (fleet.Scenario, error) {
 }
 
 func (s *FleetSource) buildProfile(spec *compiledSpec, i int) (harvest.Profile, error) {
-	scale := QuantizedJitterScale(s.seed, i, spec.jitter, spec.jitterSteps)
+	scale := quantizedJitterScale(s.seed, i, spec.jitter, spec.jitterSteps)
 	return BuildProfile(spec.prof.Kind,
 		orDefault(spec.prof.PowerW, defaultPowerW),
 		orDefault(spec.prof.Period, defaultPeriod),
@@ -182,22 +182,17 @@ func (s *FleetSource) buildProfile(spec *compiledSpec, i int) (harvest.Profile, 
 		spec.trace, scale)
 }
 
-// JitterScale is the deterministic per-device harvest-power spread:
-// a uniform draw in [1-jitter, 1+jitter] keyed by (seed, device
-// index) alone, so any device of any fleet size can be built
-// independently — no shared rng stream to replay.
-func JitterScale(seed int64, i int, jitter float64) float64 {
-	return QuantizedJitterScale(seed, i, jitter, 0)
-}
-
-// QuantizedJitterScale is JitterScale with the draw snapped to the
-// midpoints of steps equal-width bins over [0, 1) (steps <= 0 keeps
-// the continuous draw). Quantization trades waveform variety for
-// fleet-memo hit rate: a 10k-device spec with jitter_steps 32 has at
-// most 32 distinct harvest fingerprints instead of 10k, so all but
-// one device per bin replay from the Tier-1 cache while the fleet
-// still spans the full ±jitter spread.
-func QuantizedJitterScale(seed int64, i int, jitter float64, steps int) float64 {
+// quantizedJitterScale is the deterministic per-device harvest-power
+// spread: a uniform draw in [1-jitter, 1+jitter] keyed by (seed,
+// device index) alone, so any device of any fleet size can be built
+// independently — no shared rng stream to replay. steps > 0 snaps the
+// draw to the midpoints of steps equal-width bins over [0, 1) (steps
+// <= 0 keeps the continuous draw). Quantization trades waveform
+// variety for fleet-memo hit rate: a 10k-device spec with jitter_steps
+// 32 has at most 32 distinct harvest fingerprints instead of 10k, so
+// all but one device per bin replay from the Tier-1 cache while the
+// fleet still spans the full ±jitter spread.
+func quantizedJitterScale(seed int64, i int, jitter float64, steps int) float64 {
 	if jitter == 0 {
 		return 1
 	}
@@ -349,7 +344,7 @@ func (c *compiler) compile(def, d *DeviceSpec, di int) (compiledSpec, error) {
 	if engineName == "" {
 		engineName = string(core.EngineACEFLEX)
 	}
-	if spec.engine, err = ParseEngine(engineName); err != nil {
+	if spec.engines, err = parseEngines(engineName); err != nil {
 		return spec, err
 	}
 
@@ -438,23 +433,4 @@ func (c *compiler) trace(path string, repeat bool) (*harvest.TraceProfile, error
 		c.traces[key] = tr
 	}
 	return tr, nil
-}
-
-// LoadScenarios parses the scenario file at path and materializes the
-// whole fleet. Each distinct model artifact is loaded and validated
-// once and shared by pointer; datasets and traces likewise. This is
-// the convenience wrapper over LoadFleetSource for fleets small
-// enough to hold — streaming callers should use the source directly.
-func LoadScenarios(path string, seed int64) ([]fleet.Scenario, error) {
-	src, err := LoadFleetSource(path, seed)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]fleet.Scenario, src.Len())
-	for i := range out {
-		if out[i], err = src.At(i); err != nil {
-			return nil, fmt.Errorf("scenario file %s: %w", path, err)
-		}
-	}
-	return out, nil
 }

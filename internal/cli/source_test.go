@@ -1,22 +1,25 @@
 package cli
 
 import (
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
+	"ehdl/internal/core"
 	"ehdl/internal/fleet"
 )
 
 // TestFleetSourceLazyMatchesMaterialized: At(i) must build exactly
-// the scenario LoadScenarios materializes at index i — the lazy and
-// eager paths are the same fleet.
+// the scenario an in-order pass over a fresh source materializes at
+// index i — access order does not change the fleet.
 func TestFleetSourceLazyMatchesMaterialized(t *testing.T) {
 	path := writeScenarioBundle(t)
 	src, err := LoadFleetSource(path, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eager, err := LoadScenarios(path, 1)
+	eager, err := loadFleet(path, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,16 +135,16 @@ func TestFleetSourceConcurrentAt(t *testing.T) {
 	}
 }
 
-// TestJitterScale: deterministic, within [1-j, 1+j], spread across
-// indices, moved by the seed.
+// TestJitterScale: the continuous draw (steps 0) is deterministic,
+// within [1-j, 1+j], spread across indices, moved by the seed.
 func TestJitterScale(t *testing.T) {
 	seen := map[float64]bool{}
 	for i := 0; i < 1000; i++ {
-		s := JitterScale(1, i, 0.3)
+		s := quantizedJitterScale(1, i, 0.3, 0)
 		if s < 0.7 || s >= 1.3 {
-			t.Fatalf("JitterScale(1, %d, 0.3) = %v outside [0.7, 1.3)", i, s)
+			t.Fatalf("quantizedJitterScale(1, %d, 0.3, 0) = %v outside [0.7, 1.3)", i, s)
 		}
-		if s != JitterScale(1, i, 0.3) {
+		if s != quantizedJitterScale(1, i, 0.3, 0) {
 			t.Fatal("jitter draw not deterministic")
 		}
 		seen[s] = true
@@ -149,27 +152,28 @@ func TestJitterScale(t *testing.T) {
 	if len(seen) < 990 {
 		t.Fatalf("only %d distinct draws in 1000", len(seen))
 	}
-	if JitterScale(1, 7, 0.3) == JitterScale(2, 7, 0.3) {
+	if quantizedJitterScale(1, 7, 0.3, 0) == quantizedJitterScale(2, 7, 0.3, 0) {
 		t.Error("seed ignored")
 	}
-	if JitterScale(1, 7, 0) != 1 {
+	if quantizedJitterScale(1, 7, 0, 0) != 1 {
 		t.Error("zero jitter must not scale")
 	}
 }
 
 // TestScenarioStreamedMatchesRun: the end-to-end regression — a
 // scenario file streamed through RunStream aggregates bit-identically
-// to fleet.Run over the materialized expansion, same seed.
+// to a collected, exact-percentile run over the materialized
+// expansion, same seed.
 func TestScenarioStreamedMatchesRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulates a small fleet")
 	}
 	path := writeScenarioBundle(t)
-	scenarios, err := LoadScenarios(path, 1)
+	scenarios, err := loadFleet(path, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ran := fleet.Run(scenarios, 4)
+	ran := runFleet(t, scenarios, 4)
 
 	src, err := LoadFleetSource(path, 1)
 	if err != nil {
@@ -182,7 +186,7 @@ func TestScenarioStreamedMatchesRun(t *testing.T) {
 	ran.Results, ran.HostSeconds = nil, 0
 	streamed.HostSeconds = 0
 	if !reflect.DeepEqual(ran, streamed) {
-		t.Fatalf("streamed scenario aggregates diverge from Run:\n%+v\nvs\n%+v", ran, streamed)
+		t.Fatalf("streamed scenario aggregates diverge from the collected run:\n%+v\nvs\n%+v", ran, streamed)
 	}
 }
 
@@ -205,6 +209,79 @@ func TestResizedNamesCarryGlobalIndex(t *testing.T) {
 		}
 		if s.Name != tc.want {
 			t.Fatalf("device %d named %q, want %q", tc.i, s.Name, tc.want)
+		}
+	}
+}
+
+// TestScenarioEngineLists: an "engine" field may name one runtime, a
+// comma-separated list or "all"; device i runs list[i % len] by its
+// global index, so a resized fleet keeps cycling where the declared
+// one left off. Bad lists fail at compile, before any At.
+func TestScenarioEngineLists(t *testing.T) {
+	dir := t.TempDir()
+	if err := SaveModel(filepath.Join(dir, "m.gob"), testMNISTModel(t, 14)); err != nil {
+		t.Fatal(err)
+	}
+	three := 3
+	compile := func(engine string) (*FleetSource, error) {
+		sf := &ScenarioFile{Devices: []DeviceSpec{
+			{Name: "lead", Model: "m.gob", Engine: "tails"},
+			{Name: "list", Model: "m.gob", Engine: engine, Count: &three},
+		}}
+		return CompileFleetSource(sf, dir, 1, nil)
+	}
+	engines := func(src *FleetSource) []core.EngineKind {
+		var got []core.EngineKind
+		for i := 0; i < src.Len(); i++ {
+			s, err := src.At(i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = append(got, s.Engine)
+		}
+		return got
+	}
+	const (
+		base, sonic, tails = core.EngineBase, core.EngineSONIC, core.EngineTAILS
+		ace, flex          = core.EngineACE, core.EngineACEFLEX
+	)
+	for _, tc := range []struct {
+		engine string
+		want   []core.EngineKind // lead, then list/0..2 at global 1..3
+	}{
+		{"all", []core.EngineKind{tails, sonic, tails, ace}},
+		{" ace , sonic ", []core.EngineKind{tails, sonic, ace, sonic}},
+		{"base,,ace+flex", []core.EngineKind{tails, flex, base, flex}},
+		{"sonic", []core.EngineKind{tails, sonic, sonic, sonic}},
+	} {
+		src, err := compile(tc.engine)
+		if err != nil {
+			t.Fatalf("engine %q: %v", tc.engine, err)
+		}
+		if got := engines(src); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("engine %q: devices run %v, want %v", tc.engine, got, tc.want)
+		}
+	}
+
+	// Resized devices keep the global index: device 5 clones list/0
+	// (declared index 1) but runs all[5 % 5] = base, not all[1].
+	src, err := compile("all")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []core.EngineKind{tails, sonic, tails, ace, tails, base, sonic, tails, tails}
+	if got := engines(src.Resize(9)); !reflect.DeepEqual(got, want) {
+		t.Errorf("resized fleet runs %v, want %v", got, want)
+	}
+
+	for _, bad := range []struct{ engine, want string }{
+		{",", "no engines"},
+		{" , ", "no engines"},
+		{"ace, warp", `unknown engine "warp"`},
+		{"ALL", `unknown engine "ALL"`},
+	} {
+		if _, err := compile(bad.engine); err == nil || !strings.Contains(err.Error(), bad.want) {
+			t.Errorf("engine %q compiled (err %v), want an error mentioning %q", bad.engine, err, bad.want)
 		}
 	}
 }

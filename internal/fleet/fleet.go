@@ -152,31 +152,6 @@ func ForEach(n, workers int, fn func(i int)) {
 	wg.Wait()
 }
 
-// Run executes every scenario over a pool of at most workers
-// goroutines (<= 0: GOMAXPROCS) and aggregates the fleet report,
-// materializing one Result row per scenario. Scenario failures (bad
-// profile, model/input mismatch, DNF) land in the per-scenario Err
-// field; they do not abort the rest of the fleet. Run is a thin
-// wrapper over RunStream with a collecting sink — use RunStream
-// directly for fleets too large to hold.
-func Run(scenarios []Scenario, workers int) Report {
-	collect := &Collector{Rows: make([]Result, 0, len(scenarios))}
-	rep, err := RunStream(SliceSource(scenarios), StreamOptions{
-		Workers: workers,
-		// Run materializes every row anyway, so percentiles stay exact
-		// at any fleet size (the historical behaviour).
-		ExactPercentiles: len(scenarios),
-		Sink:             collect,
-	})
-	if err != nil {
-		// Collector never fails and SliceSource never errors; keep the
-		// historical no-error signature.
-		panic(err)
-	}
-	rep.Results = collect.Rows
-	return rep
-}
-
 // runOne executes a single scenario on its own simulated device.
 func runOne(s Scenario) Result {
 	res := Result{

@@ -86,13 +86,31 @@ func testFleet(t *testing.T, m *quant.Model) []Scenario {
 	return scenarios
 }
 
+// collectRun simulates the scenarios into a collected report with
+// exact percentiles and every row materialized — the shape
+// ehdl.RunFleet returns.
+func collectRun(t *testing.T, scenarios []Scenario, workers int) Report {
+	t.Helper()
+	collect := &Collector{}
+	rep, err := RunStream(SliceSource(scenarios), StreamOptions{
+		Workers:          workers,
+		ExactPercentiles: len(scenarios),
+		Sink:             collect,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep.Results = collect.Rows
+	return rep
+}
+
 func TestFleetRunDeterministicAndOrdered(t *testing.T) {
 	m := tinyModel(t)
 	scenarios := testFleet(t, m)
 
-	a := Run(scenarios, 4)
-	b := Run(scenarios, 1) // serial reference
-	c := Run(scenarios, 16)
+	a := collectRun(t, scenarios, 4)
+	b := collectRun(t, scenarios, 1) // serial reference
+	c := collectRun(t, scenarios, 16)
 
 	if len(a.Results) != len(scenarios) {
 		t.Fatalf("results = %d, want %d", len(a.Results), len(scenarios))
@@ -132,7 +150,7 @@ func fleetEqual(a, b Report) bool {
 func TestFleetAggregates(t *testing.T) {
 	m := tinyModel(t)
 	scenarios := testFleet(t, m)
-	rep := Run(scenarios, 0)
+	rep := collectRun(t, scenarios, 0)
 
 	if rep.Devices != len(scenarios) {
 		t.Errorf("devices = %d", rep.Devices)
@@ -178,7 +196,7 @@ func TestFleetScenarioErrorsDoNotAbort(t *testing.T) {
 		{Name: "good", Engine: core.EngineACEFLEX, Model: m, Input: input, Setup: core.PaperHarvestSetup()},
 		{Name: "nan-cap", Engine: core.EngineACEFLEX, Model: m, Input: input, Setup: nanCap},
 	}
-	rep := Run(scenarios, 2)
+	rep := collectRun(t, scenarios, 2)
 	if r := rep.Results[3]; r.Err == nil || r.Diagnosis != SetupErrorDiagnosis {
 		t.Errorf("NaN capacitance: diagnosis %q, err %v; want a setup error", r.Diagnosis, r.Err)
 	}
@@ -208,11 +226,11 @@ func TestFleetUnknownLayerKindIsSetupError(t *testing.T) {
 	for _, kind := range core.AllEngines() {
 		goodDev := Scenario{Name: "good", Engine: kind, Model: good, Input: input, Setup: core.PaperHarvestSetup()}
 		badDev := Scenario{Name: "gelu", Engine: kind, Model: bad, Input: input, Setup: core.PaperHarvestSetup()}
-		rep := Run([]Scenario{badDev, goodDev}, 2)
+		rep := collectRun(t, []Scenario{badDev, goodDev}, 2)
 		if r := rep.Results[0]; r.Err == nil || r.Diagnosis != SetupErrorDiagnosis {
 			t.Errorf("%s: unknown layer kind gave diagnosis %q, err %v; want a setup error", kind, r.Diagnosis, r.Err)
 		}
-		alone := Run([]Scenario{goodDev}, 1)
+		alone := collectRun(t, []Scenario{goodDev}, 1)
 		if !reflect.DeepEqual(rep.Results[1], alone.Results[0]) {
 			t.Errorf("%s: neighbour row %+v, alone %+v", kind, rep.Results[1], alone.Results[0])
 		}

@@ -106,7 +106,7 @@ func TestMemoComputeTier(t *testing.T) {
 	// const power — same model and input, three waveforms.
 	scenarios := []Scenario{all[1], all[7], all[13]}
 
-	want := Run(scenarios, 1).Results
+	want := collectRun(t, scenarios, 1).Results
 
 	mm := memo.New(0)
 	sink := &orderSink{t: t}
@@ -223,7 +223,7 @@ func TestMemoRender(t *testing.T) {
 	if !strings.Contains(out, "memo:") {
 		t.Fatalf("render lost the memo line:\n%s", out)
 	}
-	if out2 := RenderReport(Run(testFleet(t, m), 2)); strings.Contains(out2, "memo:") {
+	if out2 := RenderReport(collectRun(t, testFleet(t, m), 2)); strings.Contains(out2, "memo:") {
 		t.Fatal("unmemoized render shows a memo line")
 	}
 }

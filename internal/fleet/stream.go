@@ -11,8 +11,8 @@ package fleet
 // from (see run.go). Dispatch tokens bound the chunks in flight.
 // StreamOptions.Partition restricts a run to one device range of the
 // fleet (global indices preserved), which is the multi-process
-// sharding substrate (see checkpoint.go and merge.go). fleet.Run is a
-// thin wrapper that attaches a collecting sink.
+// sharding substrate (see checkpoint.go and merge.go). Attach a
+// Collector to materialize every row.
 
 import (
 	"context"
@@ -111,8 +111,8 @@ func (m multiSink) Flush() error {
 	return nil
 }
 
-// Collector is a Sink that materializes rows — what fleet.Run uses to
-// keep its Report.Results contract. Only attach it to fleets you are
+// Collector is a Sink that materializes rows — what ehdl.RunFleet uses
+// to fill Report.Results. Only attach it to fleets you are
 // willing to hold in memory. It enforces the Sink ordering contract:
 // a row that is not exactly the next expected index is an error.
 type Collector struct {
@@ -427,7 +427,8 @@ func (c *committer) writeCheckpoint() error {
 //
 // The report is bit-identical for any worker count and chunk size,
 // and — for fleets within the exact-percentile threshold —
-// bit-identical to fleet.Run over the same scenarios. A partitioned
+// bit-identical to a collected run with ExactPercentiles set to the
+// fleet size (ehdl.RunFleet). A partitioned
 // run reports over its device range only; a resumed run's report
 // covers restored and newly simulated rows alike, bit-identical to
 // the uninterrupted run's.

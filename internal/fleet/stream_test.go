@@ -31,7 +31,7 @@ func TestRunStreamMatchesRun(t *testing.T) {
 	m := tinyModel(t)
 	scenarios := testFleet(t, m)
 
-	ran := Run(scenarios, 4)
+	ran := collectRun(t, scenarios, 4)
 	streamed, err := RunStream(SliceSource(scenarios), StreamOptions{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -90,7 +90,7 @@ func (s *orderSink) Consume(i int, r Result) error {
 func TestRunStreamSinkOrdered(t *testing.T) {
 	m := tinyModel(t)
 	scenarios := testFleet(t, m)
-	want := Run(scenarios, 1).Results
+	want := collectRun(t, scenarios, 1).Results
 	for _, workers := range []int{1, 4, 16} {
 		sink := &orderSink{t: t}
 		if _, err := RunStream(SliceSource(scenarios), StreamOptions{Workers: workers, Sink: sink}); err != nil {
@@ -420,7 +420,7 @@ func TestPercentileEdgeCases(t *testing.T) {
 // TestEmptyAndSingleFleet: Report must stay well-formed (no NaN, no
 // panic) for the degenerate fleets.
 func TestEmptyAndSingleFleet(t *testing.T) {
-	empty := Run(nil, 4)
+	empty := collectRun(t, nil, 4)
 	if empty.Devices != 0 || empty.CompletionRate != 0 || empty.WallP99Sec != 0 {
 		t.Fatalf("empty fleet report: %+v", empty)
 	}
@@ -433,7 +433,7 @@ func TestEmptyAndSingleFleet(t *testing.T) {
 
 	m := tinyModel(t)
 	one := testFleet(t, m)[:1]
-	rep := Run(one, 4)
+	rep := collectRun(t, one, 4)
 	if rep.Devices != 1 || len(rep.Results) != 1 {
 		t.Fatalf("single fleet report: %+v", rep)
 	}
@@ -483,7 +483,7 @@ func TestNDJSONSchema(t *testing.T) {
 // TestProfileLabel covers the breakdown keys.
 func TestProfileLabel(t *testing.T) {
 	m := tinyModel(t)
-	rep := Run(testFleet(t, m), 0)
+	rep := collectRun(t, testFleet(t, m), 0)
 	for _, want := range []string{"square", "sine", "const"} {
 		if _, ok := rep.Profiles[want]; !ok {
 			t.Errorf("profile breakdown missing %q (have %v)", want, rep.Profiles)

@@ -16,10 +16,12 @@ import (
 // fingerprints (and equal engine/model/input) run bit-identical
 // simulations.
 //
-// ok is false for Profile implementations the switch does not know:
-// a custom profile could carry state this hash would miss, and a
+// ok is false for any profile outside the capacitor's closed set (the
+// value profiles and *TraceProfile): harvest.NewCapacitor rejects it,
+// so its device is a setup error, and keying it — a pointer like its
+// value, say — would false-hit an equal device's completed row. A
 // false Tier-1 hit is the one failure mode the memo must never have,
-// so unknown profiles bypass memoization entirely.
+// so such profiles bypass memoization entirely.
 func harvestFingerprint(cfg harvest.Config, p harvest.Profile, fx *flex.Config, r *intermittent.Runner) (uint64, bool) {
 	h := fnv64a(fnvOffset64)
 	u := h.word
@@ -42,15 +44,7 @@ func harvestFingerprint(cfg harvest.Config, p harvest.Profile, fx *flex.Config, 
 	case harvest.ConstantProfile:
 		u(1)
 		f(pp.Watts)
-	case *harvest.ConstantProfile:
-		u(1)
-		f(pp.Watts)
 	case harvest.SquareProfile:
-		u(2)
-		f(pp.PeakWatts)
-		f(pp.Period)
-		f(pp.Duty)
-	case *harvest.SquareProfile:
 		u(2)
 		f(pp.PeakWatts)
 		f(pp.Period)
@@ -59,11 +53,10 @@ func harvestFingerprint(cfg harvest.Config, p harvest.Profile, fx *flex.Config, 
 		u(3)
 		f(pp.PeakWatts)
 		f(pp.Period)
-	case *harvest.SineProfile:
-		u(3)
-		f(pp.PeakWatts)
-		f(pp.Period)
 	case *harvest.TraceProfile:
+		if pp == nil {
+			return 0, false
+		}
 		u(4)
 		u(pp.Fingerprint())
 	default:

@@ -97,15 +97,16 @@ func TestProbeRejectsUnaddressable(t *testing.T) {
 		t.Error("probe accepted a nil profile")
 	}
 	d = dev()
-	d.Profile = customProfile{}
+	d.Profile = &harvest.SquareProfile{PeakWatts: 5e-3, Period: 0.1, Duty: 0.5}
 	if _, ok := NewProbe(d); ok {
-		t.Error("probe accepted an unknown profile type (false-hit risk)")
+		t.Error("probe accepted a pointer profile, which the capacitor rejects (false-hit risk)")
+	}
+	d = dev()
+	d.Profile = (*harvest.TraceProfile)(nil)
+	if _, ok := NewProbe(d); ok {
+		t.Error("probe accepted a nil trace")
 	}
 }
-
-type customProfile struct{}
-
-func (customProfile) PowerAt(float64) float64 { return 1e-3 }
 
 // TestFingerprintSensitivity: every field outside the compute stream
 // must move the Tier-1 key; equal devices must share it.

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"ehdl/internal/fleet/memo"
+	"ehdl/internal/harvest"
 )
 
 // memoFields additionally strips the memo-dependent diagnostics
@@ -67,6 +68,38 @@ func TestMemoBitIdentical(t *testing.T) {
 		if !bytes.Equal(baseBuf.Bytes(), buf.Bytes()) {
 			t.Fatalf("workers=%d: memoized NDJSON differs from unmemoized", workers)
 		}
+	}
+}
+
+// TestMemoPointerProfileIsSetupError: a pointer to a value profile is
+// outside the capacitor's profile set, so its device is a setup error.
+// The memo must not key it like the equal value profile and replay
+// that device's completed row.
+func TestMemoPointerProfileIsSetupError(t *testing.T) {
+	m := tinyModel(t)
+	value := testFleet(t, m)[0] // a square wave
+	sq := value.Setup.Profile.(harvest.SquareProfile)
+	pointer := value
+	pointer.Name = "pointer"
+	pointer.Setup.Profile = &sq
+	scenarios := []Scenario{value, pointer}
+
+	rows := func(mm *memo.Memo) []byte {
+		var buf bytes.Buffer
+		if _, err := RunStream(SliceSource(scenarios), StreamOptions{Workers: 1, Sink: NewNDJSONSink(&buf), Memo: mm}); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	if off, on := rows(nil), rows(memo.New(0)); !bytes.Equal(off, on) {
+		t.Fatalf("memo-on rows differ from memo-off:\n%s\nvs\n%s", on, off)
+	}
+	res := collectRun(t, scenarios, 1).Results
+	if !res[0].Completed {
+		t.Fatalf("value-profile device did not complete: %+v", res[0])
+	}
+	if r := res[1]; r.Diagnosis != SetupErrorDiagnosis || r.Profile != "custom" {
+		t.Fatalf("pointer-profile row: diagnosis %q, profile %q; want %q, \"custom\"", r.Diagnosis, r.Profile, SetupErrorDiagnosis)
 	}
 }
 

@@ -9,64 +9,27 @@ package harvest
 
 import "math"
 
-// Analytic is implemented by profiles whose energy integral has a
-// closed form. The engine's contract:
-//
-//   - EnergyBetween must be the exact integral of PowerAt, not a
-//     numerical approximation.
-//   - Power must be monotone on every segment [t, NextChange(t)), so a
-//     first-crossing search inside a segment is well posed.
-//   - NextChange must return a time strictly greater than its argument,
-//     and a profile must either eventually return +Inf (a final
-//     constant-power tail) or implement Periodic.
-type Analytic interface {
-	Profile
-	// EnergyBetween returns ∫ PowerAt(s) ds over [t0, t1] in joules,
-	// t1 >= t0. It may span any number of segment boundaries.
-	EnergyBetween(t0, t1 float64) float64
-	// NextChange returns the earliest time u > t at which the profile
-	// switches analytic segment (square edge, sine quarter-period,
-	// trace breakpoint), or +Inf when power is constant forever after.
-	NextChange(t float64) float64
-	// MeanPower returns the long-run average harvested power.
-	MeanPower() float64
-}
-
-// Periodic is implemented by Analytic profiles that repeat exactly
-// with a fixed period, letting the engine skip whole periods at once
-// and decide exhaustion from a single period's energy budget.
-type Periodic interface {
-	// ProfilePeriod returns the exact repetition period in seconds, or
-	// 0 when the profile is not periodic.
-	ProfilePeriod() float64
-}
-
 // maxRechargeSegments bounds the engine's segment walk. The walk
 // normally terminates in a handful of segments (period skipping covers
-// long recharges); the bound only guards against malformed Analytic
-// implementations, and tripping it falls back to the Euler integrator.
+// long recharges). A source whose margin over the leakage is too thin
+// for the walk to reach VOn within the bound (1e-7 W on a 1 mW square
+// wave, say) is reported dead, and like every dead verdict that leaves
+// the capacitor untouched.
 const maxRechargeSegments = 1 << 20
 
-// Fallback integration parameters for profiles that implement only
-// Profile (the seed's values).
-const (
-	eulerStep    = 1e-4
-	eulerHorizon = 3600.0
-)
-
 // ---------------------------------------------------------------------
-// Analytic implementations for the built-in profiles.
+// The built-in profiles' closed forms.
 
-// EnergyBetween implements Analytic.
+// EnergyBetween implements Profile.
 func (p ConstantProfile) EnergyBetween(t0, t1 float64) float64 { return p.Watts * (t1 - t0) }
 
-// NextChange implements Analytic: constant forever.
+// NextChange implements Profile: constant forever.
 func (p ConstantProfile) NextChange(float64) float64 { return math.Inf(1) }
 
-// MeanPower implements Analytic.
+// MeanPower implements Profile.
 func (p ConstantProfile) MeanPower() float64 { return p.Watts }
 
-// ProfilePeriod implements Periodic (aperiodic).
+// ProfilePeriod implements Profile (aperiodic).
 func (p ConstantProfile) ProfilePeriod() float64 { return 0 }
 
 // cumEnergy returns ∫ PowerAt over [0, t].
@@ -80,12 +43,12 @@ func (p SquareProfile) cumEnergy(t float64) float64 {
 	return p.PeakWatts * (n*d*p.Period + math.Min(r, d*p.Period))
 }
 
-// EnergyBetween implements Analytic.
+// EnergyBetween implements Profile.
 func (p SquareProfile) EnergyBetween(t0, t1 float64) float64 {
 	return p.cumEnergy(t1) - p.cumEnergy(t0)
 }
 
-// NextChange implements Analytic: the next on→off or off→on edge.
+// NextChange implements Profile: the next on→off or off→on edge.
 func (p SquareProfile) NextChange(t float64) float64 {
 	if p.Period <= 0 {
 		return math.Inf(1)
@@ -104,7 +67,7 @@ func (p SquareProfile) NextChange(t float64) float64 {
 	return t + p.Period
 }
 
-// MeanPower implements Analytic.
+// MeanPower implements Profile.
 func (p SquareProfile) MeanPower() float64 {
 	if p.Period <= 0 {
 		return p.PeakWatts
@@ -112,7 +75,7 @@ func (p SquareProfile) MeanPower() float64 {
 	return p.PeakWatts * p.duty()
 }
 
-// ProfilePeriod implements Periodic.
+// ProfilePeriod implements Profile.
 func (p SquareProfile) ProfilePeriod() float64 {
 	if p.Period <= 0 {
 		return 0
@@ -132,12 +95,12 @@ func (p SineProfile) cumEnergy(t float64) float64 {
 	return p.PeakWatts * h / math.Pi * (2*n + 1 - math.Cos(math.Pi*r/h))
 }
 
-// EnergyBetween implements Analytic.
+// EnergyBetween implements Profile.
 func (p SineProfile) EnergyBetween(t0, t1 float64) float64 {
 	return p.cumEnergy(t1) - p.cumEnergy(t0)
 }
 
-// NextChange implements Analytic: quarter-period boundaries (the
+// NextChange implements Profile: quarter-period boundaries (the
 // rectified sine is monotone between consecutive peaks and zeros).
 func (p SineProfile) NextChange(t float64) float64 {
 	if p.Period <= 0 {
@@ -151,7 +114,7 @@ func (p SineProfile) NextChange(t float64) float64 {
 	return (k + 2) * q
 }
 
-// MeanPower implements Analytic: 2·Pk/π.
+// MeanPower implements Profile: 2·Pk/π.
 func (p SineProfile) MeanPower() float64 {
 	if p.Period <= 0 {
 		return p.PeakWatts
@@ -159,7 +122,7 @@ func (p SineProfile) MeanPower() float64 {
 	return 2 * p.PeakWatts / math.Pi
 }
 
-// ProfilePeriod implements Periodic: |sin| repeats every half period.
+// ProfilePeriod implements Profile: |sin| repeats every half period.
 func (p SineProfile) ProfilePeriod() float64 {
 	if p.Period <= 0 {
 		return 0
@@ -201,11 +164,14 @@ func (c *Capacitor) finishCycle(off, t, gross, target float64) {
 	c.cycleHarvestJ = 0
 }
 
-// rechargeAnalytic advances off-time until the store reaches VOn,
-// walking profile segments and solving each in closed form. On a dead
-// source it returns false WITHOUT mutating the capacitor: exhaustion
-// is a verdict about the profile, not a span of simulated time.
-func (c *Capacitor) rechargeAnalytic(ap Analytic) (float64, bool) {
+// Recharge implements device.Supply: advance off-time until the store
+// reaches VOn, walking profile segments and solving each in closed
+// form. On a dead source it returns false WITHOUT mutating the
+// capacitor: exhaustion is a verdict about the profile — its net power
+// can never lift the store to VOn — not a span of simulated time, and
+// there is no wall-clock search horizon.
+func (c *Capacitor) Recharge() (float64, bool) {
+	p := c.profile
 	target := c.energyAt(c.cfg.VOn)
 	leak := c.cfg.LeakageW
 	if c.energyJ >= target {
@@ -216,13 +182,10 @@ func (c *Capacitor) rechargeAnalytic(ap Analytic) (float64, bool) {
 	t, e := t0, c.energyJ
 	var harvested float64
 
-	var period float64
-	if pp, ok := ap.(Periodic); ok {
-		period = pp.ProfilePeriod()
-	}
+	period := c.period
 	var netPerPeriod, grossPerPeriod float64
 	if period > 0 {
-		grossPerPeriod = ap.EnergyBetween(t, t+period)
+		grossPerPeriod = p.EnergyBetween(t, t+period)
 		netPerPeriod = grossPerPeriod - leak*period
 	}
 	// canCharge: a periodic source whose net energy per period is
@@ -246,28 +209,29 @@ func (c *Capacitor) rechargeAnalytic(ap Analytic) (float64, bool) {
 				t += k * period
 			}
 		}
-		u := ap.NextChange(t)
+		u := p.NextChange(t)
 		if math.IsInf(u, 1) {
 			// Final constant-power tail: dead or a one-step solve.
-			net := ap.PowerAt(t) - leak
+			net := p.PowerAt(t) - leak
 			if net <= 0 {
 				return t - t0, false
 			}
 			dt := (target - e) / net
-			harvested += ap.PowerAt(t) * dt
+			harvested += p.PowerAt(t) * dt
 			t += dt
 			c.finishCycle(t-t0, t, harvested, target)
 			return t - t0, true
 		}
 		if u <= t {
-			// Malformed profile: NextChange failed to advance.
-			return c.rechargeEulerResync()
+			// NextChange cannot advance at this float resolution: no
+			// closed-form step is left to take.
+			return t - t0, false
 		}
 		segEnd := u
 		if !canCharge && anchorNext > t && anchorNext < segEnd {
 			segEnd = anchorNext // sample e exactly at period anchors
 		}
-		dt, eEnd, gross, crossed := rechargeSegment(ap, t, segEnd, e, target, leak)
+		dt, eEnd, gross, crossed := rechargeSegment(p, t, segEnd, e, target, leak)
 		harvested += gross
 		t += dt
 		e = eEnd
@@ -286,19 +250,7 @@ func (c *Capacitor) rechargeAnalytic(ap Analytic) (float64, bool) {
 			anchorNext += period
 		}
 	}
-	// Unreachable for well-formed profiles; integrate as a last resort.
-	return c.rechargeEulerResync()
-}
-
-// rechargeEulerResync is the malformed-profile fallback: integrate on
-// absolute time and drag the phase accumulator along so a periodic
-// capacitor stays self-consistent.
-func (c *Capacitor) rechargeEulerResync() (float64, bool) {
-	off, ok := c.RechargeEuler(eulerStep, eulerHorizon)
-	if c.mode == modePeriodic {
-		c.phase = math.Mod(c.phase+off, c.period)
-	}
-	return off, ok
+	return t - t0, false
 }
 
 // rechargeSegment advances the store across the segment [t, u), on
@@ -306,7 +258,7 @@ func (c *Capacitor) rechargeEulerResync() (float64, bool) {
 // floor at zero stored energy. It returns the time advanced, the end
 // energy, the gross harvested energy, and whether the target was
 // reached (in which case the time advanced stops at the crossing).
-func rechargeSegment(ap Analytic, t, u, e, target, leak float64) (float64, float64, float64, bool) {
+func rechargeSegment(p Profile, t, u, e, target, leak float64) (float64, float64, float64, bool) {
 	dur := u - t
 	if dur <= 0 {
 		return 0, e, 0, false
@@ -314,22 +266,22 @@ func rechargeSegment(ap Analytic, t, u, e, target, leak float64) (float64, float
 	if leak == 0 {
 		// Net power is the profile power: non-negative, cumulative
 		// energy monotone, no floor contact.
-		gross := ap.EnergyBetween(t, u)
+		gross := p.EnergyBetween(t, u)
 		if e+gross < target {
 			return dur, e + gross, gross, false
 		}
-		dt := solveCrossing(ap, t, dur, e, target, 0)
-		return dt, target, ap.EnergyBetween(t, t+dt), true
+		dt := solveCrossing(p, t, dur, e, target, 0)
+		return dt, target, p.EnergyBetween(t, t+dt), true
 	}
 	// With leakage the net power can change sign once on a
 	// monotone-power segment; split there so each piece has a
 	// monotone cumulative.
 	bounds := [3]float64{t, u, u}
 	pieces := 1
-	n0 := ap.PowerAt(t) - leak
-	n1 := ap.PowerAt(u-dur*1e-9) - leak
+	n0 := p.PowerAt(t) - leak
+	n1 := p.PowerAt(u-dur*1e-9) - leak
 	if (n0 < 0) != (n1 < 0) {
-		bounds[1] = powerCrossing(ap, t, u, leak)
+		bounds[1] = powerCrossing(p, t, u, leak)
 		pieces = 2
 	}
 	var gross float64
@@ -339,13 +291,13 @@ func rechargeSegment(ap Analytic, t, u, e, target, leak float64) (float64, float
 		if b <= a {
 			continue
 		}
-		pg := ap.EnergyBetween(a, b)
+		pg := p.EnergyBetween(a, b)
 		netE := pg - leak*(b-a)
-		if mid := ap.PowerAt(a+(b-a)/2) - leak; mid >= 0 {
+		if mid := p.PowerAt(a+(b-a)/2) - leak; mid >= 0 {
 			// Rising cumulative: the target can be crossed here.
 			if cur+netE >= target {
-				dt := solveCrossing(ap, a, b-a, cur, target, leak)
-				gross += ap.EnergyBetween(a, a+dt)
+				dt := solveCrossing(p, a, b-a, cur, target, leak)
+				gross += p.EnergyBetween(a, a+dt)
 				return a + dt - t, target, gross, true
 			}
 			cur += netE
@@ -362,14 +314,14 @@ func rechargeSegment(ap Analytic, t, u, e, target, leak float64) (float64, float
 // e + ∫[t,t+dt] p − leak·dt reaches target, by bisection; the
 // expression must be monotone non-decreasing on the interval and reach
 // target within it.
-func solveCrossing(ap Analytic, t, hi, e, target, leak float64) float64 {
+func solveCrossing(p Profile, t, hi, e, target, leak float64) float64 {
 	lo := 0.0
 	for i := 0; i < 200; i++ {
 		mid := 0.5 * (lo + hi)
 		if mid <= lo || mid >= hi {
 			break
 		}
-		if e+ap.EnergyBetween(t, t+mid)-leak*mid >= target {
+		if e+p.EnergyBetween(t, t+mid)-leak*mid >= target {
 			hi = mid
 		} else {
 			lo = mid
@@ -380,15 +332,15 @@ func solveCrossing(ap Analytic, t, hi, e, target, leak float64) float64 {
 
 // powerCrossing returns the time in [t, u] at which the monotone
 // profile power crosses the leakage level, by bisection.
-func powerCrossing(ap Analytic, t, u, leak float64) float64 {
-	rising := ap.PowerAt(t) < leak
+func powerCrossing(p Profile, t, u, leak float64) float64 {
+	rising := p.PowerAt(t) < leak
 	lo, hi := t, u
 	for i := 0; i < 200; i++ {
 		mid := 0.5 * (lo + hi)
 		if mid <= lo || mid >= hi {
 			break
 		}
-		above := ap.PowerAt(mid) >= leak
+		above := p.PowerAt(mid) >= leak
 		if above == rising {
 			hi = mid
 		} else {

@@ -1,6 +1,7 @@
 package harvest
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -19,9 +20,9 @@ func mustTrace(t *testing.T, repeat bool) *TraceProfile {
 
 // analyticProfiles enumerates every built-in profile as (name,
 // profile) pairs for table tests.
-func analyticProfiles(t *testing.T) map[string]Analytic {
+func analyticProfiles(t *testing.T) map[string]Profile {
 	t.Helper()
-	return map[string]Analytic{
+	return map[string]Profile{
 		"const":        ConstantProfile{Watts: 5e-3},
 		"square":       SquareProfile{PeakWatts: 5e-3, Period: 0.1, Duty: 0.5},
 		"square-slow":  SquareProfile{PeakWatts: 2e-3, Period: 1, Duty: 0.01},
@@ -66,7 +67,7 @@ func TestNextChangeAdvancesAndPowerMonotone(t *testing.T) {
 		for i := 0; i < 60; i++ {
 			u := p.NextChange(tt)
 			if math.IsInf(u, 1) {
-				if _, periodic := p.(Periodic); periodic && p.(Periodic).ProfilePeriod() > 0 {
+				if p.ProfilePeriod() > 0 {
 					t.Errorf("%s: periodic profile returned +Inf NextChange", name)
 				}
 				break
@@ -96,7 +97,7 @@ func TestNextChangeAdvancesAndPowerMonotone(t *testing.T) {
 
 func TestMeanPower(t *testing.T) {
 	cases := []struct {
-		p    Analytic
+		p    Profile
 		want float64
 	}{
 		{ConstantProfile{Watts: 2e-3}, 2e-3},
@@ -161,7 +162,7 @@ func TestAnalyticRechargeMatchesEulerOracle(t *testing.T) {
 func TestAnalyticRechargeWithLeakageMatchesEuler(t *testing.T) {
 	cfg := PaperConfig()
 	cfg.LeakageW = 0.4e-3
-	profiles := map[string]Analytic{
+	profiles := map[string]Profile{
 		"const":  ConstantProfile{Watts: 5e-3},
 		"square": SquareProfile{PeakWatts: 5e-3, Period: 0.1, Duty: 0.5},
 		// Long dark phase: the store floors at zero before recovering.
@@ -329,7 +330,10 @@ func TestEnergyConservation(t *testing.T) {
 }
 
 func TestProfileValidation(t *testing.T) {
-	bad := []Validator{
+	invalid := []interface {
+		Profile
+		Validate() error
+	}{
 		SquareProfile{PeakWatts: 1e-3, Period: 0.1, Duty: 0},
 		SquareProfile{PeakWatts: 1e-3, Period: 0.1, Duty: 1.5},
 		SquareProfile{PeakWatts: 1e-3, Period: 0, Duty: 0.5},
@@ -339,12 +343,35 @@ func TestProfileValidation(t *testing.T) {
 		ConstantProfile{Watts: -2},
 		ConstantProfile{Watts: math.Inf(1)},
 	}
-	for i, v := range bad {
+	for i, v := range invalid {
 		if err := v.Validate(); err == nil {
 			t.Errorf("case %d (%+v): invalid profile accepted", i, v)
 		}
-		if _, err := NewCapacitor(PaperConfig(), v.(Profile)); err == nil {
-			t.Errorf("case %d: NewCapacitor accepted invalid profile", i)
+	}
+	// Outside the closed set: nil, a nil or unbuilt trace, and pointers
+	// to otherwise valid value profiles. Each is an error naming its
+	// type, not a panic.
+	foreign := []Profile{
+		nil,
+		(*TraceProfile)(nil),
+		&TraceProfile{},
+		&SquareProfile{PeakWatts: 5e-3, Period: 0.1, Duty: 0.5},
+		&SineProfile{PeakWatts: 5e-3, Period: 0.1},
+		&ConstantProfile{Watts: 5e-3},
+	}
+	rejected := make([]Profile, 0, len(invalid)+len(foreign))
+	for _, v := range invalid {
+		rejected = append(rejected, v)
+	}
+	rejected = append(rejected, foreign...)
+	for i, p := range rejected {
+		_, err := NewCapacitor(PaperConfig(), p)
+		if err == nil {
+			t.Errorf("case %d (%T %+v): NewCapacitor accepted invalid profile", i, p, p)
+			continue
+		}
+		if i >= len(invalid) && !strings.Contains(err.Error(), fmt.Sprintf("%T", p)) {
+			t.Errorf("case %d: error %q does not name type %T", i, err, p)
 		}
 	}
 	if _, err := NewSquareProfile(5e-3, 0.1, 0.5); err != nil {
@@ -356,13 +383,57 @@ func TestProfileValidation(t *testing.T) {
 	if _, err := NewConstantProfile(5e-3); err != nil {
 		t.Errorf("valid constant rejected: %v", err)
 	}
-	if _, err := NewCapacitor(PaperConfig(), nil); err == nil {
-		t.Error("nil profile accepted")
-	}
 	cfg := PaperConfig()
 	cfg.LeakageW = -1
 	if _, err := NewCapacitor(cfg, ConstantProfile{1e-3}); err == nil {
 		t.Error("negative leakage accepted")
+	}
+}
+
+// TestNearBalancedRecharge holds a source whose mean power beats the
+// leakage by a hair. At 1e-7 W of margin the segment walk reaches its
+// bound: the verdict is dead and the capacitor is untouched, like
+// every other dead verdict. At 1e-6 W the source charges after about
+// 266,000 s; the off-time, store and clock bits are pinned.
+func TestNearBalancedRecharge(t *testing.T) {
+	drained := func(leak float64) *Capacitor {
+		cfg := PaperConfig()
+		cfg.LeakageW = leak
+		c := mustCap(t, cfg, SquareProfile{PeakWatts: 1e-3, Period: 1, Duty: 0.5})
+		drainAt(t, c, 0)
+		return c
+	}
+	bits := math.Float64bits
+
+	c := drained(4.9999995e-4)
+	e0, now0, h0 := c.EnergyJ(), c.Now(), c.HarvestedJ()
+	tok0, _ := c.CycleToken()
+	if _, ok := c.Recharge(); ok {
+		t.Fatal("1e-7 W margin: recharge succeeded, want the segment bound's dead verdict")
+	}
+	if tok, _ := c.CycleToken(); bits(c.EnergyJ()) != bits(e0) || bits(c.Now()) != bits(now0) ||
+		bits(c.HarvestedJ()) != bits(h0) || tok != tok0 {
+		t.Errorf("dead verdict mutated the capacitor: EnergyJ %v→%v, Now %v→%v, HarvestedJ %v→%v, token %+v→%+v",
+			e0, c.EnergyJ(), now0, c.Now(), h0, c.HarvestedJ(), tok0, tok)
+	}
+
+	c = drained(4.999995e-4)
+	off, ok := c.Recharge()
+	if !ok {
+		t.Fatal("1e-6 W margin: recharge reported dead")
+	}
+	for _, f := range []struct {
+		name string
+		got  float64
+		want uint64
+	}{
+		{"off", off, 0x41103c41fef9b9a6},
+		{"EnergyJ", c.EnergyJ(), 0x3f41d798d8a979e1},
+		{"Now", c.Now(), 0x41103c41ffffde83},
+	} {
+		if bits(f.got) != f.want {
+			t.Errorf("%s = %v (%#x), want %v (%#x)", f.name, f.got, bits(f.got), math.Float64frombits(f.want), f.want)
+		}
 	}
 }
 

@@ -1,8 +1,8 @@
 package harvest
 
 // RechargeEuler is the seed's fixed-timestep off-time integrator,
-// retained as the oracle the analytic engine is validated against (and
-// as the fallback for profiles that implement only Profile).
+// kept only as the test oracle the closed-form engine is validated
+// against; Recharge never calls it.
 //
 // step is the integration step in seconds (the seed used 100 µs);
 // horizon is the give-up bound in accumulated off-seconds (the seed

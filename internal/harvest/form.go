@@ -1,6 +1,9 @@
 package harvest
 
-import "math"
+import (
+	"fmt"
+	"math"
+)
 
 // formKind names the closed form a draw evaluates for the capacitor's
 // profile. The cumulative forms, whose energy over a window is a
@@ -8,8 +11,7 @@ import "math"
 type formKind uint8
 
 const (
-	formAnalytic formKind = iota // custom Analytic: EnergyBetween per draw
-	formConstant                 // Watts·dt
+	formConstant formKind = iota // Watts·dt
 	formSquare                   // cumulative PeakWatts·min(t, duty·Period)
 	formSine                     // cumulative A·(1 − cos(πt/h))
 	formTrace                    // cumulative trapezoid, hinted segment
@@ -37,25 +39,29 @@ type drawForm struct {
 	seg   int // trace: the segment of the last lookup
 }
 
-// resolveForm returns the draw form of p: a closed form for the
-// built-in value profiles and *TraceProfile, formAnalytic otherwise.
-// Its factors are computed by the same expressions, in the same order,
-// as the profiles' own cumEnergy, so they carry the same bits.
-func resolveForm(p Profile) drawForm {
+// resolveForm validates p and returns its draw form. It is the one
+// place that knows the profile set: the built-in value profiles and a
+// built *TraceProfile. Anything else — nil, a nil or zero trace, a
+// pointer to a value profile — is an error naming the type. The
+// factors are computed by the same expressions, in the same order, as
+// the profiles' own cumEnergy, so they carry the same bits.
+func resolveForm(p Profile) (drawForm, error) {
 	switch p := p.(type) {
 	case ConstantProfile:
-		return drawForm{kind: formConstant, a: p.Watts}
+		return drawForm{kind: formConstant, a: p.Watts}, p.Validate()
 	case SquareProfile:
 		return drawForm{kind: formSquare, span: p.Period, spanBits: math.Float64bits(p.Period),
-			a: p.PeakWatts, b: p.duty() * p.Period}
+			a: p.PeakWatts, b: p.duty() * p.Period}, p.Validate()
 	case SineProfile:
 		h := p.Period / 2
-		return drawForm{kind: formSine, span: h, spanBits: math.Float64bits(h), a: p.PeakWatts * h / math.Pi}
+		return drawForm{kind: formSine, span: h, spanBits: math.Float64bits(h), a: p.PeakWatts * h / math.Pi}, p.Validate()
 	case *TraceProfile:
-		d := p.Duration()
-		return drawForm{kind: formTrace, span: d, spanBits: math.Float64bits(d), trace: p}
+		if p != nil && len(p.times) >= 2 {
+			d := p.Duration()
+			return drawForm{kind: formTrace, span: d, spanBits: math.Float64bits(d), trace: p}, nil
+		}
 	}
-	return drawForm{kind: formAnalytic}
+	return drawForm{}, fmt.Errorf("harvest: profile %T is not one of ConstantProfile, SquareProfile, SineProfile or a built *TraceProfile", p)
 }
 
 // cumAt returns the cumulative form at t: the profile's cumEnergy(t)

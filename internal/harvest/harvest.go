@@ -10,14 +10,15 @@
 // that must either checkpoint or never complete: Fig. 7(b)'s "X"
 // columns fall directly out of this arithmetic.
 //
-// Off-time (recharge) simulation is event-driven: every built-in
-// profile implements Analytic, so charge and discharge are solved in
-// closed form per profile segment instead of being integrated with a
-// fixed timestep, and "the source is dead" is an analytic property of
-// the profile (net energy per period at or below the leakage budget)
+// The profile set is closed: constant, square, rectified sine and
+// piecewise-linear trace, the four waveforms a scenario can name. Each
+// has a closed-form energy integral, so off-time (recharge) is solved
+// per profile segment instead of being integrated with a fixed
+// timestep, and "the source is dead" is an analytic property of the
+// profile (net energy per period at or below the leakage budget)
 // rather than a wall-clock search horizon. The seed's fixed-step Euler
-// integrator is retained as RechargeEuler, the oracle the analytic
-// engine is validated against.
+// integrator is kept only as RechargeEuler, the test oracle the
+// closed forms are validated against.
 //
 // On-time draws are the simulator's hottest path (one per charged
 // operation), so Draw does the least float work that gives the exact
@@ -36,22 +37,37 @@ import (
 )
 
 // Profile supplies the harvested power (in watts) as a function of
-// absolute time. Implementations must be deterministic. Profiles that
-// also implement Analytic get the event-driven engine in Draw and
-// Recharge; plain Profiles fall back to fixed-step integration.
+// absolute time, with a closed-form energy integral. The set is
+// closed: NewCapacitor accepts ConstantProfile, SquareProfile,
+// SineProfile and *TraceProfile and rejects anything else, so every
+// capacitor runs the closed-form engine. The engine's contract, which
+// the four built-ins keep:
+//
+//   - EnergyBetween is the exact integral of PowerAt, not a numerical
+//     approximation.
+//   - Power is monotone on every segment [t, NextChange(t)), so a
+//     first-crossing search inside a segment is well posed.
+//   - NextChange returns a time strictly greater than its argument,
+//     and a profile either eventually returns +Inf (a final
+//     constant-power tail) or has a positive ProfilePeriod.
 type Profile interface {
 	// PowerAt returns the instantaneous harvested power at time t
 	// seconds.
 	PowerAt(t float64) float64
-}
-
-// Validator is implemented by profiles that can check their own
-// parameters. NewCapacitor rejects profiles whose Validate fails, so a
-// malformed profile (zero duty cycle, negative power, zero period) is
-// an immediate construction error instead of a simulation that spins
-// forever waiting for energy that never comes.
-type Validator interface {
-	Validate() error
+	// EnergyBetween returns ∫ PowerAt(s) ds over [t0, t1] in joules,
+	// t1 >= t0. It may span any number of segment boundaries.
+	EnergyBetween(t0, t1 float64) float64
+	// NextChange returns the earliest time u > t at which the profile
+	// switches closed-form segment (square edge, sine quarter-period,
+	// trace breakpoint), or +Inf when power is constant forever after.
+	NextChange(t float64) float64
+	// MeanPower returns the long-run average harvested power.
+	MeanPower() float64
+	// ProfilePeriod returns the exact repetition period in seconds, or
+	// 0 when the profile is not periodic. A periodic profile lets the
+	// engine skip whole periods at once and decide exhaustion from a
+	// single period's energy budget.
+	ProfilePeriod() float64
 }
 
 // ConstantProfile harvests a fixed power, the simplest bench setting.
@@ -65,7 +81,9 @@ func NewConstantProfile(watts float64) (ConstantProfile, error) {
 	return p, p.Validate()
 }
 
-// Validate implements Validator.
+// Validate checks Watts is finite and >= 0. NewCapacitor calls it, so
+// a malformed profile is a construction error instead of a simulation
+// that waits forever for energy that never comes.
 func (p ConstantProfile) Validate() error {
 	if math.IsNaN(p.Watts) || math.IsInf(p.Watts, 0) || p.Watts < 0 {
 		return fmt.Errorf("harvest: constant profile needs finite Watts >= 0, got %g", p.Watts)
@@ -91,8 +109,8 @@ func NewSquareProfile(peakWatts, period, duty float64) (SquareProfile, error) {
 	return p, p.Validate()
 }
 
-// Validate implements Validator: Duty ∈ (0, 1], Period > 0 and
-// non-negative peak power.
+// Validate checks Duty ∈ (0, 1], a finite Period > 0 and a finite
+// peak power >= 0.
 func (p SquareProfile) Validate() error {
 	if math.IsNaN(p.PeakWatts) || math.IsInf(p.PeakWatts, 0) || p.PeakWatts < 0 {
 		return fmt.Errorf("harvest: square profile needs finite PeakWatts >= 0, got %g", p.PeakWatts)
@@ -137,7 +155,7 @@ func NewSineProfile(peakWatts, period float64) (SineProfile, error) {
 	return p, p.Validate()
 }
 
-// Validate implements Validator.
+// Validate checks a finite Period > 0 and a finite peak power >= 0.
 func (p SineProfile) Validate() error {
 	if math.IsNaN(p.PeakWatts) || math.IsInf(p.PeakWatts, 0) || p.PeakWatts < 0 {
 		return fmt.Errorf("harvest: sine profile needs finite PeakWatts >= 0, got %g", p.PeakWatts)
@@ -176,15 +194,15 @@ func PaperConfig() Config {
 }
 
 // integrationMode selects the time basis the capacitor integrates the
-// profile on. Periodic analytic profiles are integrated on a phase
-// accumulator in [0, period) and constant profiles on a zero anchor,
+// profile on. A profile with a positive ProfilePeriod is integrated on
+// a phase accumulator in [0, period) and a constant one on a zero
+// anchor,
 // so the energy arithmetic of a boot cycle is independent of how much
 // absolute time precedes it — steady cycles are bit-repeatable at any
 // simulated age, which is what the intermittent runner's analytic
 // fast-forward proves its fixed points on (and what keeps million-
-// second horizons from losing float resolution). Profiles without a
-// closed form, and aperiodic non-constant ones (a hold-last trace),
-// integrate on absolute time as before.
+// second horizons from losing float resolution). Aperiodic
+// non-constant profiles (a hold-last trace) integrate on absolute time.
 type integrationMode int
 
 const (
@@ -200,14 +218,12 @@ type Capacitor struct {
 	cfg     Config
 	profile Profile
 
-	// Resolved once by NewCapacitor so a draw pays no type assertion,
-	// no profile dispatch and no threshold arithmetic: the profile's
-	// Analytic view (nil for plain Profiles), its draw form, and the
+	// Resolved once by NewCapacitor so a draw pays no profile dispatch
+	// and no threshold arithmetic: the profile's draw form and the
 	// stored energies at VOff and VMax.
-	analytic Analytic
-	form     drawForm
-	floorJ   float64
-	vmaxJ    float64
+	form   drawForm
+	floorJ float64
+	vmaxJ  float64
 	// cumKey and cumVal memoize the last cumulative a draw evaluated:
 	// the bits of its time and cumAt there. The cumulative is pure, so
 	// a matching key is the exact value and needs no invalidation.
@@ -227,7 +243,8 @@ type Capacitor struct {
 }
 
 // NewCapacitor returns a capacitor charged to VOn at t=0 under the
-// given profile. Profiles implementing Validator are validated here.
+// given profile, which must be one of the four built-ins and pass its
+// Validate.
 func NewCapacitor(cfg Config, profile Profile) (*Capacitor, error) {
 	if !(cfg.CapacitanceF > 0) || math.IsInf(cfg.CapacitanceF, 1) {
 		return nil, fmt.Errorf("harvest: capacitance must be finite and positive, got %g", cfg.CapacitanceF)
@@ -239,34 +256,27 @@ func NewCapacitor(cfg Config, profile Profile) (*Capacitor, error) {
 	if cfg.LeakageW < 0 || math.IsNaN(cfg.LeakageW) || math.IsInf(cfg.LeakageW, 0) {
 		return nil, fmt.Errorf("harvest: leakage must be finite and >= 0, got %g", cfg.LeakageW)
 	}
-	if profile == nil {
-		return nil, fmt.Errorf("harvest: profile must not be nil")
-	}
-	if v, ok := profile.(Validator); ok {
-		if err := v.Validate(); err != nil {
-			return nil, err
-		}
+	form, err := resolveForm(profile)
+	if err != nil {
+		return nil, err
 	}
 	c := &Capacitor{
 		cfg:     cfg,
 		profile: profile,
+		form:    form,
 		energyJ: 0.5 * cfg.CapacitanceF * cfg.VOn * cfg.VOn,
 	}
 	c.floorJ = c.energyAt(cfg.VOff)
 	c.vmaxJ = c.energyAt(cfg.VMax)
-	if ap, ok := profile.(Analytic); ok {
-		c.analytic = ap
-		c.form = resolveForm(profile)
-		if c.form.kind >= formSquare {
-			c.cumKey, c.cumVal = math.Float64bits(0), c.cumAt(0)
-		}
-		switch pp, periodic := ap.(Periodic); {
-		case periodic && pp.ProfilePeriod() > 0:
-			c.mode = modePeriodic
-			c.period = pp.ProfilePeriod()
-		case math.IsInf(ap.NextChange(0), 1):
-			c.mode = modeConstant
-		}
+	if c.form.kind >= formSquare {
+		c.cumKey, c.cumVal = math.Float64bits(0), c.cumAt(0)
+	}
+	switch period := profile.ProfilePeriod(); {
+	case period > 0:
+		c.mode = modePeriodic
+		c.period = period
+	case math.IsInf(profile.NextChange(0), 1):
+		c.mode = modeConstant
 	}
 	return c, nil
 }
@@ -352,26 +362,11 @@ func (c *Capacitor) Draw(nJ float64, dt float64) bool {
 	return true
 }
 
-// Recharge implements device.Supply: advance off-time until the
-// capacitor reaches VOn again. For Analytic profiles (all built-ins)
-// the off-time is solved in closed form per profile segment and the
-// return of false is an analytic verdict — the profile's net power can
-// never lift the store to VOn — with no search horizon. Plain Profiles
-// fall back to the fixed-step integrator with the seed's 3600 s
-// horizon, which can misreport a slow-but-charging custom source as
-// dead; implement Analytic to avoid that.
-func (c *Capacitor) Recharge() (float64, bool) {
-	if c.analytic != nil {
-		return c.rechargeAnalytic(c.analytic)
-	}
-	return c.RechargeEuler(eulerStep, eulerHorizon)
-}
-
 // integrateHarvest accrues harvested energy over dt seconds of device
-// activity: exactly (closed form) for Analytic profiles — anchored on
-// the phase accumulator for periodic profiles and on zero for constant
-// ones, so the arithmetic does not depend on absolute simulated age —
-// in a single power-at-window-start step otherwise. A window that
+// activity in closed form, anchored on the phase accumulator for
+// periodic profiles, on zero for constant ones (so the arithmetic does
+// not depend on absolute simulated age) and on absolute time for a
+// hold-last trace. A window that
 // stays inside the period advances the phase by plain addition, which
 // is what math.Mod returns for 0 <= x < period.
 //
@@ -391,17 +386,9 @@ func (c *Capacitor) integrateHarvest(dt float64) {
 			c.phase = math.Mod(t1, c.period)
 		}
 	case modeConstant:
-		if c.form.kind == formConstant {
-			gross = float64(c.form.a * dt) // Watts·(dt−0), the same bits
-		} else {
-			gross = c.analytic.EnergyBetween(0, dt)
-		}
+		gross = float64(c.form.a * dt) // Watts·(dt−0), the same bits
 	default:
-		if c.analytic != nil {
-			gross = c.energyBetween(c.nowSec, c.nowSec+dt)
-		} else {
-			gross = c.profile.PowerAt(c.nowSec) * dt
-		}
+		gross = c.energyBetween(c.nowSec, c.nowSec+dt)
 	}
 	c.energyJ += gross - c.cfg.LeakageW*dt
 	if c.energyJ < 0 {
@@ -414,17 +401,13 @@ func (c *Capacitor) integrateHarvest(dt float64) {
 }
 
 // energyBetween is the profile's EnergyBetween(t0, t1) with the same
-// bits, from the draw form. For cumulative forms it evaluates only
-// cumAt(t1) when t0 is the previous call's t1 — every draw in sequence
-// between recharges and phase wraps — and remembers t1 for the next
-// draw. (A constant profile integrates in modeConstant and never gets
-// here.)
+// bits, from the cumulative draw form. It evaluates only cumAt(t1)
+// when t0 is the previous call's t1 — every draw in sequence between
+// recharges and phase wraps — and remembers t1 for the next draw. (A
+// constant profile integrates in modeConstant and never gets here.)
 //
 //ehdl:hotpath
 func (c *Capacitor) energyBetween(t0, t1 float64) float64 {
-	if c.form.kind < formSquare {
-		return c.analytic.EnergyBetween(t0, t1)
-	}
 	c0 := c.cumVal
 	if math.Float64bits(t0) != c.cumKey {
 		c0 = c.cumAt(t0)
@@ -462,12 +445,9 @@ func (c *Capacitor) BootsToComplete(totalJ float64) uint64 {
 // SteadyOffSeconds returns the closed-form mean recharge time of one
 // full VOff→VOn cycle — usable budget over the profile's long-run net
 // power — and false when the mean power cannot beat the leakage (the
-// store never recharges) or the profile has no analytic mean.
+// store never recharges).
 func (c *Capacitor) SteadyOffSeconds() (float64, bool) {
-	if c.analytic == nil {
-		return 0, false
-	}
-	net := c.analytic.MeanPower() - c.cfg.LeakageW
+	net := c.profile.MeanPower() - c.cfg.LeakageW
 	if net <= 0 {
 		return 0, false
 	}

@@ -277,13 +277,13 @@ func (p *TraceProfile) cumEnergy(t float64) float64 {
 	return cycles*total + p.localCum(r)
 }
 
-// EnergyBetween implements Analytic: trapezoid closed form per
+// EnergyBetween implements Profile: trapezoid closed form per
 // breakpoint segment.
 func (p *TraceProfile) EnergyBetween(t0, t1 float64) float64 {
 	return p.cumEnergy(t1) - p.cumEnergy(t0)
 }
 
-// NextChange implements Analytic: the next breakpoint.
+// NextChange implements Profile: the next breakpoint.
 func (p *TraceProfile) NextChange(t float64) float64 {
 	d := p.Duration()
 	if !p.repeat && t >= d {
@@ -300,7 +300,7 @@ func (p *TraceProfile) NextChange(t float64) float64 {
 	return base + d + p.times[1] // wrapped past the cycle's last point
 }
 
-// MeanPower implements Analytic.
+// MeanPower implements Profile.
 func (p *TraceProfile) MeanPower() float64 {
 	if p.repeat {
 		return p.cum[len(p.cum)-1] / p.Duration()
@@ -308,7 +308,7 @@ func (p *TraceProfile) MeanPower() float64 {
 	return p.watts[len(p.watts)-1]
 }
 
-// ProfilePeriod implements Periodic.
+// ProfilePeriod implements Profile.
 func (p *TraceProfile) ProfilePeriod() float64 {
 	if p.repeat {
 		return p.Duration()

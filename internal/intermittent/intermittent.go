@@ -48,8 +48,9 @@
 //
 // # Analytic fast-forward
 //
-// On a phase-anchored harvest supply (harvest.Capacitor under any
-// periodic or constant Analytic profile), a steady run reaches an
+// On a phase-anchored harvest supply (harvest.Capacitor under a
+// periodic or constant profile: anything but a hold-last trace), a
+// steady run reaches an
 // exact fixed point: the supply token (stored-energy and profile-phase
 // bits) repeats at boot start and the ledger records become
 // bit-identical. Once the runner observes two consecutive identical

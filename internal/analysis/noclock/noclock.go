@@ -4,8 +4,11 @@
 // the package-level math/rand functions (whose state is global and
 // unseeded) are banned. Seeded generators (rand.New(rand.NewSource))
 // are fine — they are how scenarios derandomize — so the rand
-// constructors stay legal, as do timers (time.NewTicker) used to pace
-// progress output.
+// constructors stay legal. Package time's timers and sleeps
+// (NewTicker, NewTimer, Tick, After, AfterFunc, Sleep) are banned too:
+// anything paced by host time reads it through an injected
+// fleet.Clock, which is what lets tests drive it with a fake clock and
+// no sleeps.
 //
 // The one legitimate wall-clock use — host-time reporting and
 // progress/ETA pacing — is annotated `//ehdl:wallclock <why>` and is
@@ -23,14 +26,20 @@ import (
 // Analyzer is the noclock pass.
 var Analyzer = &analysis.Analyzer{
 	Name:     "noclock",
-	Doc:      "forbids time.Now/Since/Until and global math/rand in simulation and aggregation code",
+	Doc:      "forbids wall-clock reads, timers, sleeps and global math/rand in simulation and aggregation code",
 	Packages: []string{"ehdl/internal/..."},
 	Exclude:  []string{"ehdl/internal/analysis/..."},
 	Run:      run,
 }
 
-// forbiddenTime are the wall-clock reads in package time.
-var forbiddenTime = map[string]bool{"Now": true, "Since": true, "Until": true}
+// wallReads are the wall-clock reads in package time.
+var wallReads = map[string]bool{"Now": true, "Since": true, "Until": true}
+
+// timers are package time's functions that wait on the host clock.
+var timers = map[string]bool{
+	"NewTicker": true, "NewTimer": true, "Tick": true,
+	"After": true, "AfterFunc": true, "Sleep": true,
+}
 
 // allowedRand are the package-level math/rand (and rand/v2)
 // constructors that build seeded, local generators.
@@ -59,8 +68,11 @@ func run(pass *analysis.Pass) error {
 			var msg string
 			switch fn.Pkg().Path() {
 			case "time":
-				if forbiddenTime[fn.Name()] {
+				switch {
+				case wallReads[fn.Name()]:
 					msg = "time." + fn.Name() + " reads the wall clock; results must be pure in (scenario, seed) — inject a fleet.Clock, or annotate //ehdl:wallclock <why> for progress-only use"
+				case timers[fn.Name()]:
+					msg = "time." + fn.Name() + " waits on the host clock; pace on an injected fleet.Clock instead"
 				}
 			case "math/rand", "math/rand/v2":
 				if !allowedRand[fn.Name()] {

@@ -4,6 +4,7 @@ package noclocktest
 import (
 	"math/rand"
 	"time"
+	hostclock "time"
 )
 
 // wallNow reads the wall clock directly.
@@ -27,9 +28,15 @@ func seededRand(seed int64) float64 {
 	return rng.Float64()
 }
 
-// ticker paces progress output; timers are not wall-clock reads.
+// ticker paces on the host clock instead of an injected one; the
+// analyzer resolves the renamed import.
 func ticker() *time.Ticker {
-	return time.NewTicker(time.Second)
+	return hostclock.NewTicker(time.Second) // want `waits on the host clock`
+}
+
+// sleeper blocks on the host clock.
+func sleeper() {
+	time.Sleep(time.Millisecond) // want `waits on the host clock`
 }
 
 // justified is the annotated escape hatch for progress rendering.

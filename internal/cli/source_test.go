@@ -4,6 +4,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"ehdl/internal/core"
@@ -125,9 +126,15 @@ func TestFleetSourceConcurrentAt(t *testing.T) {
 	}
 	big := src.Resize(64)
 	errs := make([]error, big.Len())
-	fleet.ForEach(big.Len(), 8, func(i int) {
-		_, errs[i] = big.At(i)
-	})
+	var wg sync.WaitGroup
+	for i := range errs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			_, errs[i] = big.At(i)
+		}(i)
+	}
+	wg.Wait()
 	for i, err := range errs {
 		if err != nil {
 			t.Fatalf("At(%d): %v", i, err)

@@ -21,7 +21,7 @@ import (
 
 // testModel quantizes a randomly initialized model (no training —
 // bit-exactness does not care about accuracy).
-func testModel(t *testing.T, arch *nn.Arch, seed int64) *quant.Model {
+func testModel(t testing.TB, arch *nn.Arch, seed int64) *quant.Model {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	net := arch.Build(rng)

@@ -23,7 +23,7 @@ import (
 // filter keeps the same seven of its nine kernel positions, so the
 // quantized layer carries Kept and the store flashes compacted
 // weights.
-func maskedBCMModel(t *testing.T) *quant.Model {
+func maskedBCMModel(t testing.TB) *quant.Model {
 	t.Helper()
 	arch := bcmArch()
 	rng := rand.New(rand.NewSource(13))

@@ -18,7 +18,6 @@ import (
 	"ehdl/internal/dataset"
 	"ehdl/internal/device"
 	"ehdl/internal/fixed"
-	"ehdl/internal/fleet"
 	"ehdl/internal/nn"
 	"ehdl/internal/quant"
 	"ehdl/internal/rad"
@@ -302,17 +301,23 @@ type Fig7Row struct {
 }
 
 // Fig7 measures every engine on every task under both supplies. Every
-// (task, engine) cell simulates its own independent device, so the
-// sweep rides the fleet layer's bounded worker pool (fleet.ForEach);
-// the row order (tasks outer, engines inner) and every device number
-// are identical to a serial sweep.
+// (task, engine) cell simulates its own independent device, so each
+// of the 15 cells runs on its own goroutine, as PrepareTasks runs its
+// tasks; the row order (tasks outer, engines inner) and every device
+// number are identical to a serial sweep.
 func Fig7(tasks []*Task) ([]Fig7Row, error) {
 	kinds := core.AllEngines()
 	rows := make([]Fig7Row, len(tasks)*len(kinds))
 	errs := make([]error, len(rows))
-	fleet.ForEach(len(rows), 0, func(idx int) {
-		errs[idx] = fig7Cell(&rows[idx], tasks[idx/len(kinds)], kinds[idx%len(kinds)])
-	})
+	var wg sync.WaitGroup
+	for idx := range rows {
+		wg.Add(1)
+		go func(idx int) {
+			defer wg.Done()
+			errs[idx] = fig7Cell(&rows[idx], tasks[idx/len(kinds)], kinds[idx%len(kinds)])
+		}(idx)
+	}
+	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
 			return nil, err

@@ -505,6 +505,69 @@ func TestPartitionShardsMergeBitIdentical(t *testing.T) {
 	})
 }
 
+// TestPartitionEmptyShardsWriteMeta: a split wider than the fleet
+// leaves shards with no devices. Each still lands its shard meta —
+// complete, with an empty row file — resuming it is a no-op that
+// rewrites the same meta, and the shards merge bit-identically to the
+// single-process run.
+func TestPartitionEmptyShardsWriteMeta(t *testing.T) {
+	scenarios := testFleet(t, tinyModel(t))[:2]
+	dir := t.TempDir()
+	var base bytes.Buffer
+	baseRep, err := RunStream(SliceSource(scenarios), StreamOptions{Sink: NewNDJSONSink(&base)})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const of = 4 // shards 0 and 2 of 4 over 2 devices are empty
+	dirs := make([]string, of)
+	for i := range dirs {
+		dirs[i] = filepath.Join(dir, fmt.Sprintf("shard%d", i))
+		runShard(t, scenarios, Partition{Index: i, Of: of}, dirs[i], "fp")
+	}
+	for _, i := range []int{0, 2} {
+		st, err := LoadShard(dirs[i])
+		if err != nil {
+			t.Fatalf("empty shard %d: %v", i, err)
+		}
+		if st.Start != st.End || st.Rows != st.End {
+			t.Fatalf("empty shard %d meta covers [%d, %d) at frontier %d", i, st.Start, st.End, st.Rows)
+		}
+		if rows := readRows(t, dirs[i]); len(rows) != 0 {
+			t.Fatalf("empty shard %d wrote %d row bytes", i, len(rows))
+		}
+
+		meta, err := os.ReadFile(ShardDir(dirs[i]).Checkpoint)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := ShardDir(dirs[i])
+		out.Fingerprint = "fp"
+		run, err := OpenRun(out, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := run.Stream(SliceSource(scenarios), StreamOptions{Partition: Partition{Index: i, Of: of}}); err != nil {
+			t.Fatalf("resume empty shard %d: %v", i, err)
+		}
+		if again, err := os.ReadFile(out.Checkpoint); err != nil || !bytes.Equal(again, meta) {
+			t.Fatalf("resumed empty shard %d rewrote different meta (err %v)", i, err)
+		}
+	}
+
+	mergedDir := filepath.Join(dir, "merged")
+	rep, err := MergeDir(mergedDir, dirs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(readRows(t, mergedDir), base.Bytes()) {
+		t.Fatal("merged NDJSON differs from the single-process run")
+	}
+	if !reflect.DeepEqual(aggFields(rep), aggFields(baseRep)) {
+		t.Fatalf("merged report differs:\n%+v\nvs\n%+v", aggFields(rep), aggFields(baseRep))
+	}
+}
+
 // TestSinkOrderingContract: every bundled sink rejects an index gap
 // instead of silently accepting out-of-order rows.
 func TestSinkOrderingContract(t *testing.T) {

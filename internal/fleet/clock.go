@@ -6,7 +6,8 @@ import "time"
 // functions of (scenario, seed); the only things a fleet run may
 // measure in real time are the host-seconds line of a report and
 // progress/ETA pacing, and both read through this interface so tests
-// can drive them deterministically. RunStream and MergeDir
+// can drive them deterministically: RunStream's committer reads it to
+// pace Progress, and no timer runs beside it. RunStream and MergeDir
 // default to SystemClock when no Clock is injected.
 type Clock interface {
 	// Now returns the current time.

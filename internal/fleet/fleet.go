@@ -1,6 +1,6 @@
 // Package fleet simulates a deployment of energy-harvesting devices:
 // N independent (device, engine, harvesting profile) scenarios run
-// concurrently over a bounded worker pool and are folded into one
+// concurrently on slots of a bounded WorkerPool and are folded into one
 // deterministic aggregate report — completion rate, boot counts,
 // per-engine/per-profile breakdowns, and simulated-wall-time
 // percentiles across the fleet. Every scenario owns its simulated
@@ -8,19 +8,18 @@
 // of scheduling.
 //
 // The core is streaming (see RunStream): scenarios come from a lazy
-// Source, rows flow through an ordered Sink, and aggregation is
-// online and constant-memory, so fleet size is bounded by simulation
-// time, not host memory. Run is the materializing wrapper — it keeps
-// one Result row per scenario, in scenario order — for small fleets
-// and existing callers.
+// Source, workers claim contiguous chunks of devices, one committer
+// puts the chunks back in order for the Sink and owns progress and
+// checkpoints, and aggregation is online and constant-memory, so
+// fleet size is bounded by simulation time, not host memory. A
+// Collector sink materializes one Result row per scenario, in
+// scenario order, for small fleets (ehdl.RunFleet).
 package fleet
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
 
 	"ehdl/internal/core"
 	"ehdl/internal/fixed"
@@ -116,40 +115,6 @@ type Report struct {
 
 	// HostSeconds is the real time the sweep took.
 	HostSeconds float64
-}
-
-// ForEach runs fn(0..n-1) over a bounded worker pool and returns when
-// every call finished. workers <= 0 selects GOMAXPROCS. fn must be
-// safe to call concurrently for distinct indices; writing only to
-// per-index slots keeps the overall computation deterministic.
-// experiments.Fig7 sweeps on this pool; RunStream runs its own
-// variant whose workers additionally own aggregator shards.
-func ForEach(n, workers int, fn func(i int)) {
-	if n <= 0 {
-		return
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				fn(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
 }
 
 // runOne executes a single scenario on its own simulated device.

@@ -237,19 +237,6 @@ func TestFleetUnknownLayerKindIsSetupError(t *testing.T) {
 	}
 }
 
-func TestForEach(t *testing.T) {
-	for _, workers := range []int{0, 1, 3, 64} {
-		got := make([]int, 100)
-		ForEach(len(got), workers, func(i int) { got[i] = i * i })
-		for i, v := range got {
-			if v != i*i {
-				t.Fatalf("workers=%d: slot %d = %d", workers, i, v)
-			}
-		}
-	}
-	ForEach(0, 4, func(int) { t.Fatal("fn called for n=0") })
-}
-
 func TestPercentile(t *testing.T) {
 	vals := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
 	cases := []struct{ p, want float64 }{{50, 5}, {90, 9}, {99, 10}, {1, 1}}

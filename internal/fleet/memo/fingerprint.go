@@ -76,7 +76,6 @@ func harvestFingerprint(cfg harvest.Config, p harvest.Profile, fx *flex.Config, 
 		u(1)
 		u(r.MaxBoots)
 		u(uint64(r.StagnationLimit))
-		b(r.AssumeProgress)
 		b(r.NoFastForward)
 		u(uint64(r.LedgerDepth))
 	}

@@ -219,17 +219,16 @@ func (s *NDJSONSink) Consume(i int, r Result) error {
 var ErrResumeRows = errors.New("NDJSON file is behind the checkpoint")
 
 // NDJSONFile is a file-owning NDJSON sink for checkpointable runs:
-// buffered writes, Flush = buffer flush + fsync (called by RunStream
-// before every checkpoint write), ordering-checked like NDJSONSink,
-// and safe for a concurrent Flush during delivery (it locks
-// internally). Close flushes and closes the file; a Flush or Close
-// after Close is a no-op.
+// an NDJSONSink over a buffered writer, Flush = buffer flush + fsync
+// (called by RunStream before every checkpoint write), and safe for a
+// concurrent Flush during delivery (it locks internally). Close
+// flushes and closes the file; a Flush or Close after Close is a
+// no-op.
 type NDJSONFile struct {
 	mu     sync.Mutex
 	f      *os.File
 	bw     *bufio.Writer
-	enc    rowEncoder
-	next   int
+	sink   *NDJSONSink
 	closed bool
 
 	// TagMemo is NDJSONSink.TagMemo; leave it off for output that
@@ -284,19 +283,15 @@ func resumeNDJSONFile(path string, keep, next int) (*NDJSONFile, error) {
 
 func newNDJSONFile(f *os.File, start int) *NDJSONFile {
 	bw := bufio.NewWriterSize(f, ndjsonBufSize)
-	return &NDJSONFile{f: f, bw: bw, enc: rowEncoder{w: bw}, next: start}
+	return &NDJSONFile{f: f, bw: bw, sink: NewNDJSONSinkAt(bw, start)}
 }
 
 // Consume implements Sink.
 func (s *NDJSONFile) Consume(i int, r Result) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if i != s.next {
-		return fmt.Errorf("fleet: NDJSON sink got row %d, want %d", i, s.next)
-	}
-	s.next++
-	row := makeRow(i, r, s.TagMemo)
-	return s.enc.encode(&row)
+	s.sink.TagMemo = s.TagMemo
+	return s.sink.Consume(i, r)
 }
 
 // Flush implements Flusher: drains the write buffer and fsyncs, so

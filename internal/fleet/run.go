@@ -101,7 +101,7 @@ func (r *DurableRun) stream(src Source, opts StreamOptions) (Report, error) {
 			if err := opts.Partition.validate(); err != nil {
 				return Report{}, err
 			}
-			r.file.next, _ = opts.Partition.Range(src.Len())
+			r.file.sink.next, _ = opts.Partition.Range(src.Len())
 		}
 		if opts.Sink != nil {
 			opts.Sink = MultiSink(r.file, opts.Sink)

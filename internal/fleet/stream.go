@@ -18,7 +18,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -149,11 +148,12 @@ type StreamOptions struct {
 	ExactPercentiles int
 	// Sink, when set, receives every row in scenario order.
 	Sink Sink
-	// Progress, when set, is called from a ticker goroutine with the
-	// number of finished devices (and once more on completion). Totals
-	// are partition-relative: a resumed or sharded run reports
-	// (committed-so-far, partition size), counting checkpoint-restored
-	// rows as already done.
+	// Progress, when set, is called with the commit frontier on
+	// RunStream's calling goroutine, never concurrently: as chunks
+	// commit, at most once per 2 s of Clock time, and once more on
+	// completion. Totals are partition-relative: a resumed or sharded
+	// run reports (committed-so-far, partition size), counting
+	// checkpoint-restored rows as already done.
 	Progress func(done, total int)
 	// Memo, when set, dedups identical device runs: workers consult
 	// the content-addressed memo before simulating and replay cached
@@ -187,7 +187,8 @@ type StreamOptions struct {
 	// <= 0 or above Pool.Size() means Pool.Size().
 	Pool *WorkerPool
 	// Clock supplies the host time used for Report.HostSeconds and
-	// progress pacing — nothing simulated reads it (nil: SystemClock).
+	// for pacing Progress — nothing simulated reads it, and no timer
+	// paces anything else (nil: SystemClock).
 	Clock Clock
 }
 
@@ -208,70 +209,64 @@ type ckptJob struct {
 	snap []byte
 }
 
-// ckptWriter persists periodic checkpoints off the committer's
-// critical path: the sink flush + fsync + atomic artifact write cost
-// milliseconds of disk latency that would otherwise stall every
-// chunk commit at the interval boundary. The committer snapshots the
-// aggregator synchronously (the snapshot must capture the frontier
-// state) and enqueues the write; at most one job is pending, and a
-// newer frontier replaces an unstarted older one — every write is a
-// full rewrite, so only the latest matters. RunStream drains the
-// writer before returning and writes the final checkpoint
-// synchronously, so a finished run's file always sits at the final
-// frontier, and an interrupted run's file is deterministically at the
-// last queued frontier.
+// ckptWriter persists checkpoints off the committer's critical path:
+// the sink flush + fsync + atomic artifact write cost milliseconds of
+// disk latency that would otherwise stall every chunk commit at the
+// interval boundary. The committer snapshots the aggregator
+// synchronously (the snapshot must capture the frontier state) and
+// enqueues the write; at most one job is pending, and a newer frontier
+// replaces an unstarted older one — every write is a full rewrite, so
+// only the latest matters. The final checkpoint of a completed or
+// cancelled run rides the same queue and RunStream drains the writer
+// before returning, so a finished run's file always sits at its final
+// frontier.
 type ckptWriter struct {
-	ch    chan ckptJob
-	done  chan struct{}
-	mu    sync.Mutex
-	last  int // frontier of the most recent successful write
-	wrote bool
-	err   error
+	ch   chan ckptJob
+	done chan struct{}
+	err  error // the first failed write; read only after done closes
 }
 
 func newCkptWriter() *ckptWriter {
 	return &ckptWriter{ch: make(chan ckptJob, 1), done: make(chan struct{})}
 }
 
-func (w *ckptWriter) error() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
+// drain closes the queue, waits for the pending write to land and
+// returns the first write failure.
+func (w *ckptWriter) drain() error {
+	close(w.ch)
+	<-w.done
 	return w.err
 }
 
-// drain closes the queue and waits for pending writes to land. Safe
-// to read the fields directly afterwards: the writer goroutine has
-// exited (happens-before via done).
-func (w *ckptWriter) drain() (last int, wrote bool, err error) {
-	close(w.ch)
-	<-w.done
-	return w.last, w.wrote, w.err
-}
-
 // committer is RunStream's one ordering stage and the only caller of
-// Sink.Consume. Chunks complete out of order; the committer parks
-// early arrivals and, for each gap-free prefix, delivers the chunk's
-// rows, merges its shard and advances the frontier, in that order. A
-// frontier of R therefore means, by construction, that the sink has
-// consumed exactly rows [Start, R) and the committed aggregator holds
-// exactly that multiset — the invariant that makes each
-// CheckpointState consistent and resume exact. Committing a chunk
-// returns its dispatch token, which is what bounds the chunks in
-// flight (see runStream).
+// Sink.Consume and Progress. Chunks complete out of order; the
+// committer parks early arrivals and, for each gap-free prefix,
+// delivers the chunk's rows, merges its shard and advances the
+// frontier, in that order. A frontier of R therefore means, by
+// construction, that the sink has consumed exactly rows [Start, R) and
+// the committed aggregator holds exactly that multiset — the invariant
+// that makes each CheckpointState consistent and resume exact.
+// Committing a chunk returns its dispatch token, which is what bounds
+// the chunks in flight (see runStream).
 type committer struct {
 	ck         *checkpointing
 	state      CheckpointState // identity template; Rows/AggSnap filled per write
 	committed  *Agg
 	rows       int               // commit frontier: rows [state.Start, rows) are committed
 	lastQueued int               // frontier of the most recently queued checkpoint
+	queued     bool              // whether this run has queued a checkpoint at all
 	pending    map[int]chunkDone // parked chunks, keyed by start index
 	sink       Sink
 	flusher    Flusher
-	writer     *ckptWriter     // nil unless ck is set and work remains
+	writer     *ckptWriter     // nil unless ck is set
 	tokens     chan struct{}   // dispatch tokens; one is returned per committed chunk
 	abort      <-chan struct{} // closed once the run stops dispatching
 	fail       func()          // aborts dispatch after a sink or checkpoint failure
 	err        error
+
+	progress func(done, total int) // StreamOptions.Progress
+	clock    Clock
+	reported time.Time // clock reading at the last progress report
 }
 
 // run drains the commits channel until it closes. Once the run has
@@ -280,6 +275,7 @@ type committer struct {
 func (c *committer) run(commits <-chan chunkDone) {
 	for cd := range commits {
 		c.pending[cd.start] = cd
+		from := c.rows
 		for c.err == nil && !c.aborted() {
 			nxt, ok := c.pending[c.rows]
 			if !ok {
@@ -295,13 +291,28 @@ func (c *committer) run(commits <-chan chunkDone) {
 			c.rows = nxt.end
 			<-c.tokens
 		}
+		if c.rows == from {
+			continue
+		}
 		if c.err == nil && c.ck != nil && c.rows-c.lastQueued >= c.ck.every {
 			if err := c.queueCheckpoint(); err != nil {
 				c.err = err
 				c.fail()
 			}
 		}
+		if c.progress != nil && c.rows < c.state.End { // the final report covers the end
+			if now := c.clock.Now(); now.Sub(c.reported) >= progressEvery {
+				c.reported = now
+				c.report()
+			}
+		}
 	}
+}
+
+// report hands the commit frontier to the Progress callback,
+// partition-relative.
+func (c *committer) report() {
+	c.progress(c.rows-c.state.Start, c.state.End-c.state.Start)
 }
 
 // aborted reports whether the run has stopped dispatching (a
@@ -344,7 +355,7 @@ func (c *committer) queueCheckpoint() error {
 		}
 		c.writer.ch <- job
 	}
-	c.lastQueued = c.rows
+	c.lastQueued, c.queued = c.rows, true
 	return nil
 }
 
@@ -353,60 +364,34 @@ func (c *committer) queueCheckpoint() error {
 // queue (the committer must never block on a full one) but stops
 // writing.
 func (c *committer) writeLoop() {
-	defer close(c.writer.done)
-	for job := range c.writer.ch {
-		if c.writer.error() != nil {
+	w := c.writer
+	defer close(w.done)
+	for job := range w.ch {
+		if w.err != nil {
 			continue
 		}
-		err := c.flushSink()
-		if err == nil {
-			st := c.state
-			st.Rows = job.rows
-			st.AggSnap = job.snap
-			if werr := st.write(c.ck.path); werr != nil {
-				err = fmt.Errorf("fleet: write checkpoint %s: %w", c.ck.path, werr)
-			}
-		}
-		c.writer.mu.Lock()
-		if err != nil {
-			c.writer.err = err
-		} else {
-			c.writer.last, c.writer.wrote = job.rows, true
-		}
-		c.writer.mu.Unlock()
-		if err != nil {
+		if w.err = c.writeCheckpoint(job); w.err != nil {
 			c.fail()
 		}
 	}
 }
 
-// flushSink forces delivered rows to stable storage ahead of a
-// checkpoint write. By the time a checkpoint at frontier R is queued,
-// rows [Start, R) have all been handed to the sink, so a flush at any
-// later moment covers them; rows past the frontier flushed along the
-// way are harmless (resume truncates the sink back to the
-// checkpointed boundary). Flush may run concurrently with delivery —
-// see the Flusher contract.
-func (c *committer) flushSink() error {
-	if c.flusher == nil {
-		return nil
-	}
-	if err := c.flusher.Flush(); err != nil {
-		return fmt.Errorf("fleet: flush sink before checkpoint: %w", err)
-	}
-	return nil
-}
-
-// writeCheckpoint snapshots the committed aggregator and atomically
-// rewrites the checkpoint file at the current frontier.
-func (c *committer) writeCheckpoint() error {
-	snap, err := c.committed.Snapshot()
-	if err != nil {
-		return err
+// writeCheckpoint forces delivered rows to stable storage, then
+// atomically rewrites the checkpoint file at job's frontier. By the
+// time a checkpoint at frontier R is queued, rows [Start, R) have all
+// been handed to the sink, so a flush at any later moment covers them;
+// rows past the frontier flushed along the way are harmless (resume
+// truncates the sink back to the checkpointed boundary). Flush may run
+// concurrently with delivery — see the Flusher contract.
+func (c *committer) writeCheckpoint(job ckptJob) error {
+	if c.flusher != nil {
+		if err := c.flusher.Flush(); err != nil {
+			return fmt.Errorf("fleet: flush sink before checkpoint: %w", err)
+		}
 	}
 	st := c.state
-	st.Rows = c.rows
-	st.AggSnap = snap
+	st.Rows = job.rows
+	st.AggSnap = job.snap
 	if err := st.write(c.ck.path); err != nil {
 		return fmt.Errorf("fleet: write checkpoint %s: %w", c.ck.path, err)
 	}
@@ -440,11 +425,18 @@ func RunStream(src Source, opts StreamOptions) (Report, error) {
 // commit frontier to ck.path every ck.every rows (on the async
 // ckptWriter, flushing a Flusher sink first, so a SIGKILL at any point
 // leaves a checkpoint covered by the sink's durable output) and once
-// more on completion. ck.resume, when set, must match this run —
-// fingerprint, fleet size, partition, exact-percentile threshold —
-// or the run fails with ErrCheckpointMismatch; otherwise it continues
-// at the frontier with the restored aggregator, the Sink already
-// positioned there.
+// more when the run completes or is cancelled. ck.resume, when set,
+// must match this run — fingerprint, fleet size, partition,
+// exact-percentile threshold — or the run fails with
+// ErrCheckpointMismatch; otherwise it continues at the frontier with
+// the restored aggregator, the Sink already positioned there.
+//
+// Workers always draw simulation slots from a WorkerPool: opts.Pool,
+// or a private one of opts.Workers slots. A worker takes a dispatch
+// token, claims the next chunk from an atomic cursor, simulates it
+// under a pool slot and hands it to the committer, which runs on the
+// calling goroutine. A chunk holds its token until it commits, so at
+// most 2×workers chunks are simulating or parked in the committer.
 func runStream(src Source, opts StreamOptions, ck *checkpointing) (Report, error) {
 	clock := orClock(opts.Clock)
 	ctx := opts.Context
@@ -479,9 +471,26 @@ func runStream(src Source, opts StreamOptions, ck *checkpointing) (Report, error
 	}
 	span := pend - base
 
-	var done atomic.Int64
-	stopProgress := startProgress(&done, base-pstart, pend-pstart, opts)
+	pool := opts.Pool
+	if pool == nil {
+		pool = NewWorkerPool(opts.Workers)
+	}
+	workers := opts.Workers
+	if workers <= 0 || workers > pool.Size() {
+		// Goroutines beyond the pool's slots would only queue on it.
+		workers = pool.Size()
+	}
+	workers = min(workers, span)
+	chunk := opts.ChunkSize
+	if chunk <= 0 {
+		chunk = DefaultChunkSize
+	}
+	if span > 0 {
+		chunk = min(chunk, (span+4*workers-1)/(4*workers))
+	}
 
+	abort := make(chan struct{})
+	var abortOnce sync.Once
 	flusher, _ := opts.Sink.(Flusher)
 	cm := &committer{
 		ck:         ck,
@@ -491,6 +500,12 @@ func runStream(src Source, opts StreamOptions, ck *checkpointing) (Report, error
 		pending:    make(map[int]chunkDone),
 		sink:       opts.Sink,
 		flusher:    flusher,
+		tokens:     make(chan struct{}, 2*workers),
+		abort:      abort,
+		fail:       func() { abortOnce.Do(func() { close(abort) }) },
+		progress:   opts.Progress,
+		clock:      clock,
+		reported:   start,
 	}
 	cm.state = CheckpointState{
 		Version:   checkpointVersion,
@@ -502,188 +517,80 @@ func runStream(src Source, opts StreamOptions, ck *checkpointing) (Report, error
 	}
 	if ck != nil {
 		cm.state.Fingerprint = ck.fingerprint
+		cm.writer = newCkptWriter()
+		go cm.writeLoop()
 	}
 
-	if span > 0 {
-		workers := opts.Workers
-		if opts.Pool != nil && (workers <= 0 || workers > opts.Pool.Size()) {
-			// Goroutines beyond the pool's slots would only queue on it.
-			workers = opts.Pool.Size()
-		}
-		if workers <= 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
-		if workers > span {
-			workers = span
-		}
-		chunk := opts.ChunkSize
-		if chunk <= 0 {
-			chunk = DefaultChunkSize
-		}
-		if per := (span + 4*workers - 1) / (4 * workers); per < chunk {
-			chunk = per
-		}
-		if chunk < 1 {
-			chunk = 1
-		}
+	// A cancelled context stops dispatch and commits.
+	defer context.AfterFunc(ctx, cm.fail)()
 
-		commits := make(chan chunkDone, workers)
-		abort := make(chan struct{})
-		var abortOnce sync.Once
-		fail := func() { abortOnce.Do(func() { close(abort) }) }
-		// A chunk holds a token from dispatch until it commits, so at most
-		// 2×workers chunks are simulating or parked in the committer.
-		cm.tokens = make(chan struct{}, 2*workers)
-		cm.abort = abort
-		cm.fail = fail
-
-		// A cancelled context stops dispatch and commits.
-		defer context.AfterFunc(ctx, fail)()
-
-		if ck != nil {
-			cm.writer = newCkptWriter()
-			go cm.writeLoop()
-		}
-
-		var cwg sync.WaitGroup
-		cwg.Add(1)
+	// One slot per worker: a worker finishing a chunk rarely waits on
+	// the committer.
+	commits := make(chan chunkDone, workers)
+	var cursor atomic.Int64
+	cursor.Store(int64(base))
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
 		go func() {
-			defer cwg.Done()
-			cm.run(commits)
-		}()
-
-		jobs := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for cs := range jobs {
-					ce := cs + chunk
-					if ce > pend {
-						ce = pend
-					}
-					if opts.Pool != nil && !opts.Pool.acquire(ctx, abort) {
-						fail()
-						return
-					}
-					cd := chunkDone{start: cs, end: ce, agg: NewAgg(threshold)}
-					if opts.Sink != nil {
-						cd.rows = make([]Result, 0, ce-cs)
-					}
-					cancelled := false
-					for i := cs; i < ce; i++ {
-						if ctx.Err() != nil {
-							cancelled = true
-							break
-						}
-						s, err := src.At(i)
-						var r Result
-						if err != nil {
-							// The scenario never existed, so label its breakdown
-							// groups explicitly instead of leaving them blank.
-							r = Result{
-								Name:      fmt.Sprintf("dev%d", i),
-								Engine:    "unknown",
-								Profile:   "unknown",
-								Predicted: -1,
-								Diagnosis: SetupErrorDiagnosis,
-								Err:       fmt.Errorf("fleet: scenario %d: %w", i, err),
-							}
-						} else if opts.Memo != nil {
-							r = runMemoized(s, opts.Memo)
-						} else {
-							r = runOne(s)
-						}
-						cd.agg.Observe(r)
-						done.Add(1)
-						if cd.rows != nil {
-							cd.rows = append(cd.rows, r)
-						}
-					}
-					if opts.Pool != nil {
-						opts.Pool.Release()
-					}
-					if cancelled {
-						// The chunk is partial: never commit it, so the
-						// frontier never covers a half-simulated chunk.
-						fail()
-						return
-					}
-					commits <- cd
+			defer wg.Done()
+			for {
+				select {
+				case cm.tokens <- struct{}{}:
+				case <-abort:
+					return
 				}
-			}()
-		}
-	dispatch:
-		for cs := base; cs < pend; cs += chunk {
-			select {
-			case cm.tokens <- struct{}{}:
-			case <-abort:
-				break dispatch
+				cs := int(cursor.Add(int64(chunk))) - chunk
+				if cs >= pend {
+					<-cm.tokens // nothing left to claim: hand the token back
+					return
+				}
+				if !pool.acquire(ctx, abort) {
+					cm.fail()
+					return
+				}
+				cd, ok := simulateChunk(ctx, src, cs, min(cs+chunk, pend), &opts, threshold)
+				pool.Release()
+				if !ok {
+					cm.fail()
+					return
+				}
+				commits <- cd
 			}
-			select {
-			case jobs <- cs:
-			case <-abort:
-				break dispatch
-			}
-		}
-		close(jobs)
+		}()
+	}
+	go func() {
 		wg.Wait()
 		close(commits)
-		cwg.Wait()
-	}
-	stopProgress()
+	}()
+	cm.run(commits)
 
-	var ckLast int
-	var ckWrote bool
-	var ckErr error
+	// A sink or checkpoint failure unrelated to a cancellation breaks
+	// the run. Otherwise — completed, or cancelled — one final
+	// checkpoint lands at the commit frontier: rows [Start, frontier)
+	// are aggregated and delivered, and the writer flushes them first,
+	// so a cancelled run resumes exactly like a crashed one (anything
+	// the sink holds past the frontier is truncated back on resume),
+	// and a completed run's file, at the partition end, doubles as the
+	// shard artifact's meta and makes its resume a no-op.
+	cerr := ctx.Err()
+	err := cm.err
+	if err != nil && cerr != nil && errors.Is(err, cerr) {
+		err = nil
+	}
+	if err == nil && ck != nil && !(cm.queued && cm.lastQueued == cm.rows) {
+		err = cm.queueCheckpoint()
+	}
 	if cm.writer != nil {
-		ckLast, ckWrote, ckErr = cm.writer.drain()
+		if werr := cm.writer.drain(); err == nil {
+			err = werr
+		}
 	}
-
-	if cerr := ctx.Err(); cerr != nil {
-		// A sink or checkpoint failure unrelated to the cancellation
-		// still wins: the run was already broken before it was cancelled.
-		if cm.err != nil && !errors.Is(cm.err, cerr) {
-			return Report{}, cm.err
-		}
-		if ckErr != nil {
-			return Report{}, ckErr
-		}
-		if ck != nil {
-			// Land one final checkpoint at the commit frontier: rows
-			// [Start, frontier) are aggregated, delivered and about to be
-			// flushed, so a cancelled run resumes exactly like a crashed
-			// one — anything the sink holds past the frontier is
-			// truncated back on resume.
-			if err := cm.flushSink(); err != nil {
-				return Report{}, err
-			}
-			if err := cm.writeCheckpoint(); err != nil {
-				return Report{}, err
-			}
-		}
+	if err != nil {
+		return Report{}, err
+	}
+	if cerr != nil {
 		return Report{}, fmt.Errorf("fleet: run cancelled: %w", cerr)
-	}
-	if cm.err != nil {
-		return Report{}, cm.err
-	}
-	if ckErr != nil {
-		return Report{}, ckErr
-	}
-
-	if ck != nil && !(ckWrote && ckLast == cm.rows) {
-		// Final checkpoint, written synchronously: frontier ==
-		// partition end, so the file doubles as the shard artifact's
-		// meta and a resume of a completed run is a no-op reproducing
-		// identical output. (Skipped when the writer's last landed
-		// write is already at the final frontier.)
-		if err := cm.flushSink(); err != nil {
-			return Report{}, err
-		}
-		if err := cm.writeCheckpoint(); err != nil {
-			return Report{}, err
-		}
 	}
 
 	rep := committed.Report()
@@ -692,41 +599,51 @@ func runStream(src Source, opts StreamOptions, ck *checkpointing) (Report, error
 		rep.Memo = &st
 	}
 	rep.HostSeconds = clock.Now().Sub(start).Seconds()
-	if opts.Progress != nil {
-		opts.Progress(base-pstart+int(done.Load()), pend-pstart)
+	if cm.progress != nil {
+		cm.report()
 	}
 	return rep, nil
 }
 
-// progressEvery is the progress ticker interval.
-const progressEvery = 2 * time.Second
-
-// startProgress runs the optional progress ticker; the returned stop
-// function is idempotent-enough for the single call RunStream makes.
-// offset counts rows already committed before this run (a resumed
-// checkpoint's frontier, partition-relative).
-func startProgress(done *atomic.Int64, offset, total int, opts StreamOptions) func() {
-	if opts.Progress == nil {
-		return func() {}
+// simulateChunk runs devices [cs, ce) into one chunk's rows and
+// aggregator shard. It reports false when ctx is cancelled part-way:
+// a partial chunk must never commit, so the frontier never covers a
+// half-simulated chunk.
+func simulateChunk(ctx context.Context, src Source, cs, ce int, opts *StreamOptions, threshold int) (chunkDone, bool) {
+	cd := chunkDone{start: cs, end: ce, agg: NewAgg(threshold)}
+	if opts.Sink != nil {
+		cd.rows = make([]Result, 0, ce-cs)
 	}
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		t := time.NewTicker(progressEvery)
-		defer t.Stop()
-		for {
-			select {
-			case <-t.C:
-				opts.Progress(offset+int(done.Load()), total)
-			case <-stop:
-				return
-			}
+	for i := cs; i < ce; i++ {
+		if ctx.Err() != nil {
+			return chunkDone{}, false
 		}
-	}()
-	return func() {
-		close(stop)
-		wg.Wait()
+		s, err := src.At(i)
+		var r Result
+		if err != nil {
+			// The scenario never existed, so label its breakdown
+			// groups explicitly instead of leaving them blank.
+			r = Result{
+				Name:      fmt.Sprintf("dev%d", i),
+				Engine:    "unknown",
+				Profile:   "unknown",
+				Predicted: -1,
+				Diagnosis: SetupErrorDiagnosis,
+				Err:       fmt.Errorf("fleet: scenario %d: %w", i, err),
+			}
+		} else if opts.Memo != nil {
+			r = runMemoized(s, opts.Memo)
+		} else {
+			r = runOne(s)
+		}
+		cd.agg.Observe(r)
+		if cd.rows != nil {
+			cd.rows = append(cd.rows, r)
+		}
 	}
+	return cd, true
 }
+
+// progressEvery is the minimum host time between two progress
+// reports, read on StreamOptions.Clock.
+const progressEvery = 2 * time.Second

@@ -12,6 +12,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"ehdl/internal/core"
 )
@@ -265,6 +266,92 @@ func TestRunStreamProgress(t *testing.T) {
 	}
 	if last != [2]int{len(scenarios), len(scenarios)} {
 		t.Fatalf("final progress = %v, want both %d", last, len(scenarios))
+	}
+}
+
+// stepClock is a fake Clock that moves only when the test advances
+// it.
+type stepClock struct {
+	mu  sync.Mutex
+	now time.Time
+}
+
+func (c *stepClock) Now() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.now
+}
+
+func (c *stepClock) advance(d time.Duration) {
+	c.mu.Lock()
+	c.now = c.now.Add(d)
+	c.mu.Unlock()
+}
+
+// TestRunStreamProgressPacedByClock: progress reports the commit
+// frontier, paced on the injected clock and nothing else. A clock the
+// sink advances past the interval on every row yields a report at
+// each frontier advance — chunk boundaries, non-decreasing, ending at
+// (total, total). A frozen clock yields only the final report.
+func TestRunStreamProgressPacedByClock(t *testing.T) {
+	const (
+		n       = 64
+		chunk   = 4
+		workers = 2
+	)
+	src := FuncSource(n, func(i int) (Scenario, error) {
+		return Scenario{Name: fmt.Sprintf("dev%d", i)}, nil
+	})
+	run := func(clock *stepClock, advance bool) [][2]int {
+		t.Helper()
+		var calls [][2]int
+		inCall := false
+		_, err := RunStream(src, StreamOptions{
+			Workers:   workers,
+			ChunkSize: chunk,
+			Clock:     clock,
+			Sink: SinkFunc(func(i int, r Result) error {
+				if advance {
+					clock.advance(progressEvery)
+				}
+				return nil
+			}),
+			Progress: func(done, total int) {
+				if inCall {
+					t.Error("concurrent Progress calls")
+				}
+				inCall = true
+				calls = append(calls, [2]int{done, total})
+				inCall = false
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return calls
+	}
+
+	paced := run(&stepClock{now: time.Unix(0, 0)}, true)
+	// 2×workers chunks in flight bound each frontier advance, so the
+	// frontier moves at least n/(chunk×2×workers) times. Every move but
+	// the one to the end reports, and the final call adds one.
+	if min := n / (chunk * 2 * workers); len(paced) < min {
+		t.Fatalf("advancing clock gave %d reports, want at least %d: %v", len(paced), min, paced)
+	}
+	prev := 0
+	for _, c := range paced {
+		if c[1] != n || c[0] < prev || c[0]%chunk != 0 {
+			t.Fatalf("reports %v: want non-decreasing chunk boundaries of %d", paced, n)
+		}
+		prev = c[0]
+	}
+	if last := paced[len(paced)-1]; last != [2]int{n, n} {
+		t.Fatalf("final report %v, want (%d, %d)", last, n, n)
+	}
+
+	frozen := run(&stepClock{now: time.Unix(0, 0)}, false)
+	if len(frozen) != 1 || frozen[0] != [2]int{n, n} {
+		t.Fatalf("frozen clock gave reports %v, want exactly [(%d, %d)]", frozen, n, n)
 	}
 }
 

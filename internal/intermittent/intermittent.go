@@ -42,9 +42,7 @@
 // evidence. A reporterless checkpointing program with a regular
 // per-boot cost — the case the old active-cycle fingerprint heuristic
 // misdetected — advances its write log every boot and therefore runs
-// to completion, however many boots it needs; AssumeProgress survives
-// only as an escape hatch and is no longer required for any program
-// that persists its progress.
+// to completion, however many boots it needs.
 //
 // # Analytic fast-forward
 //
@@ -59,9 +57,7 @@
 // one step (per-boot deltas replayed fold by fold, so the totals are
 // bit-identical to simulating every boot), then simulation resumes for
 // the final boots. Programs opt in to completion jumps by implementing
-// Skippable; reporterless AssumeProgress runs jump straight to the
-// boot limit with no cooperation, since their state provably never
-// changes. Thousand-boot slow-harvest runs cost a handful of simulated
+// Skippable. Thousand-boot slow-harvest runs cost a handful of simulated
 // boots (see BenchmarkIntermittentFastForward).
 package intermittent
 
@@ -266,13 +262,6 @@ type Runner struct {
 	// (zero or identical persistent writes, frozen progress) after
 	// which a program is declared stuck. Zero means the default of 8.
 	StagnationLimit int
-	// AssumeProgress disables the reporterless stagnation verdicts,
-	// leaving MaxBoots as the only DNF detector. It is NO LONGER
-	// required for reporterless checkpointing programs — their
-	// advancing write logs exempt them exactly — and survives as an
-	// escape hatch for programs that re-commit identical state while
-	// genuinely progressing outside the simulated FRAM.
-	AssumeProgress bool
 	// NoFastForward disables the analytic fast-forward, simulating
 	// every boot. Results are bit-identical either way (pinned by
 	// TestFastForwardBitIdentical); this exists for that comparison
@@ -415,9 +404,9 @@ func (r *Runner) Run(d *device.Device, p Program) Result {
 		switch {
 		case hasReporter && rec.Delta == 0 && !freshWrites(haveCycles > 0, cycle1, rec, bs):
 			evidence, kind = true, DiagFrozenProgress
-		case !hasReporter && !r.AssumeProgress && rec.FRAMWriteWords == 0:
+		case !hasReporter && rec.FRAMWriteWords == 0:
 			evidence, kind = true, DiagNoPersistentWrites
-		case !hasReporter && !r.AssumeProgress && haveCycles > 0 && sameWriteLog(cycle1, rec):
+		case !hasReporter && haveCycles > 0 && sameWriteLog(cycle1, rec):
 			evidence, kind = true, DiagIdenticalWrites
 		}
 		if evidence {
@@ -460,31 +449,23 @@ func (r *Runner) Run(d *device.Device, p Program) Result {
 		cycle2, cycle1 = cycle1, rec
 		haveCycles++
 
-		// Analytic fast-forward: jump proven-periodic runs.
-		if r.NoFastForward || supply == nil || haveCycles < 2 || !steadyCycle(cycle2, cycle1) {
+		// Analytic fast-forward: a Skippable program that advances every
+		// boot of a proven-periodic run jumps to its completion, minus
+		// the margin.
+		if r.NoFastForward || supply == nil || !hasSkipper || haveCycles < 2 ||
+			cycle1.Delta == 0 || !steadyCycle(cycle2, cycle1) {
 			continue
 		}
 		if curTok, ok := supply.CycleToken(); !ok || curTok != cycle1.Token {
 			continue
 		}
-		bootsNow := d.Stats().Boots
 		var k uint64
-		completionJump := false
-		switch {
-		case hasSkipper && cycle1.Delta > 0:
-			target := skipper.ProgressTarget()
-			if target > lastProgress {
-				if full := (target - lastProgress) / cycle1.Delta; full > skipMargin {
-					k = full - skipMargin
-				}
-				completionJump = true
+		if target := skipper.ProgressTarget(); target > lastProgress {
+			if full := (target - lastProgress) / cycle1.Delta; full > skipMargin {
+				k = full - skipMargin
 			}
-		case !hasReporter && r.AssumeProgress && cycle1.NVHash == cycle2.NVHash:
-			// Persistent state is provably fixed: every remaining boot
-			// repeats this cycle until the boot limit.
-			k = maxBoots - bootsNow
 		}
-		if lim := maxBoots - bootsNow; k > lim {
+		if lim := maxBoots - d.Stats().Boots; k > lim {
 			k = lim
 		}
 		if k == 0 {
@@ -499,16 +480,14 @@ func (r *Runner) Run(d *device.Device, p Program) Result {
 		wall := float64(cycle1.Cycles)/d.Costs.ClockHz + cycle1.OffSec
 		supply.SkipSteadyCycles(k, wall, cycle1.CycleHarvestJ)
 		ffBoots += k // replayed already — count them on every exit path
-		if completionJump {
-			skipper.SkipBoots(k, cycle1.Delta)
-			lastProgress += k * cycle1.Delta
-			if got := reporter.Progress(); got != lastProgress {
-				return finish(
-					fmt.Errorf("intermittent: Skippable contract violated: progress %d after skipping %d boots, expected %d",
-						got, k, lastProgress),
-					Diagnosis{Kind: DiagProgramError,
-						Detail: "SkipBoots did not advance progress as promised"})
-			}
+		skipper.SkipBoots(k, cycle1.Delta)
+		lastProgress += k * cycle1.Delta
+		if got := reporter.Progress(); got != lastProgress {
+			return finish(
+				fmt.Errorf("intermittent: Skippable contract violated: progress %d after skipping %d boots, expected %d",
+					got, k, lastProgress),
+				Diagnosis{Kind: DiagProgramError,
+					Detail: "SkipBoots did not advance progress as promised"})
 		}
 	}
 }

@@ -276,19 +276,6 @@ func TestNonReporterCheckpointerCompletes(t *testing.T) {
 	}
 }
 
-func TestAssumeProgressDisablesFingerprint(t *testing.T) {
-	cap := paperCap(t, 5e-3)
-	d := device.New(device.DefaultCosts(), cap)
-	p := &silentVolatileProgram{totalOps: 10_000_000}
-	res := (&Runner{MaxBoots: 20, AssumeProgress: true}).Run(d, p)
-	if res.Completed {
-		t.Fatal("cannot complete")
-	}
-	if !errors.Is(res.Err, ErrBootLimit) {
-		t.Fatalf("err = %v, want ErrBootLimit (heuristic should be off)", res.Err)
-	}
-}
-
 func TestWastedWorkBounded(t *testing.T) {
 	// With per-chunk commits, re-executed work per outage is at most
 	// one chunk: total charged ops <= chunks*chunkOps + boots*(chunkOps+overhead).
@@ -316,8 +303,8 @@ func TestWastedWorkBounded(t *testing.T) {
 // test for the documented misdetection of the old cycle-fingerprint
 // heuristic: a reporterless checkpointing program with a fixed
 // per-boot cost needing far more than StagnationLimit boots must
-// complete without AssumeProgress — its advancing persistent-write
-// log is the exact evidence of progress the fingerprint could not see.
+// complete — its advancing persistent-write log is the exact evidence
+// of progress the fingerprint could not see.
 func TestReporterlessCheckpointerManyBootsCompletes(t *testing.T) {
 	cap := paperCap(t, 5e-3)
 	d := device.New(device.DefaultCosts(), cap)
@@ -544,24 +531,5 @@ func TestFastForwardActuallySkips(t *testing.T) {
 	if executed := ff.Boots - ff.Diagnosis.FastForwarded; executed > 8 {
 		t.Fatalf("simulated %d boots (%d fast-forwarded of %d)",
 			executed, ff.Diagnosis.FastForwarded, ff.Boots)
-	}
-}
-
-// TestFastForwardToBootLimit: a reporterless AssumeProgress run whose
-// persistent state is provably fixed jumps straight to MaxBoots,
-// bit-identical to simulating every boot.
-func TestFastForwardToBootLimit(t *testing.T) {
-	mk := func() harvest.Profile { return harvest.ConstantProfile{Watts: 5e-3} }
-	prog := func() Program { return &silentVolatileProgram{totalOps: 10_000_000} }
-	runner := Runner{MaxBoots: 5000, AssumeProgress: true}
-	ff, slow, ffStats, slowStats := runPair(t, mk, prog, runner)
-	if !errors.Is(ff.Err, ErrBootLimit) || !errors.Is(slow.Err, ErrBootLimit) {
-		t.Fatalf("errs = %v / %v, want ErrBootLimit", ff.Err, slow.Err)
-	}
-	if ff.Boots != slow.Boots || ffStats != slowStats {
-		t.Fatalf("diverged: ff %d boots %+v\nslow %d boots %+v", ff.Boots, ffStats, slow.Boots, slowStats)
-	}
-	if ff.Diagnosis.FastForwarded < 4900 {
-		t.Fatalf("fast-forwarded only %d of %d boots", ff.Diagnosis.FastForwarded, ff.Boots)
 	}
 }

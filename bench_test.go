@@ -669,8 +669,11 @@ func BenchmarkFleetMemo(b *testing.B) {
 // replayScenario is a citywide-like scenario over 64 devices: ACE+FLEX
 // rooftops on quantized jitter, TAILS offices on a sine and SONIC
 // cellars on a constant supply. Resized, device i cycles through its
-// spec and the bundle's 64 test inputs, so at most 104 distinct memo
-// keys cover any fleet size.
+// spec and the bundle's 64 test inputs. The memo keys a row on its
+// harvest class (2 rooftop jitter bins, the office sine, the cellar
+// supply) and each input's reference prediction, plus the input for
+// any class whose ACE+FLEX run resumes onto an overwritten input, so
+// a few hundred entries cover any fleet size.
 const replayScenario = `{
   "defaults": { "model": "mnist.gob", "engine": "ace+flex" },
   "devices": [
@@ -682,14 +685,9 @@ const replayScenario = `{
   ]
 }`
 
-// BenchmarkFleetMemoReplay measures a memo replay, the city-warm
-// shape: replayScenario resized to 16,384 devices behind a memo that
-// one untimed sweep filled, 2 workers, rows to an NDJSON sink on
-// io.Discard. Every timed device is a full hit, so only the row
-// pipeline runs: scenario build, memo probe and lookup, aggregation
-// and row encoding. Reported as devices/s and heap allocations per
-// device.
-func BenchmarkFleetMemoReplay(b *testing.B) {
+// replaySource compiles replayScenario, resized to devices, over a
+// freshly quantized model.
+func replaySource(b *testing.B, devices int) fleet.Source {
 	dir := b.TempDir()
 	if err := cli.SaveModel(filepath.Join(dir, "mnist.gob"), replayModel(b)); err != nil {
 		b.Fatal(err)
@@ -702,8 +700,19 @@ func BenchmarkFleetMemoReplay(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	return base.Resize(devices)
+}
+
+// BenchmarkFleetMemoReplay measures a memo replay, the city-warm
+// shape: replayScenario resized to 16,384 devices behind a memo that
+// one untimed sweep filled, 2 workers, rows to an NDJSON sink on
+// io.Discard. Every timed device is a full hit, so only the row
+// pipeline runs: scenario build, memo probe and lookup, aggregation
+// and row encoding. Reported as devices/s and heap allocations per
+// device.
+func BenchmarkFleetMemoReplay(b *testing.B) {
 	const devices = 16384
-	src := base.Resize(devices)
+	src := replaySource(b, devices)
 	m := memo.New(0)
 	sweep := func() {
 		if _, err := fleet.RunStream(src, fleet.StreamOptions{
@@ -728,6 +737,30 @@ func BenchmarkFleetMemoReplay(b *testing.B) {
 	n := float64(devices) * float64(b.N)
 	b.ReportMetric(n/b.Elapsed().Seconds(), "devices/s")
 	b.ReportMetric(float64(ms1.Mallocs-ms0.Mallocs)/n, "allocs/device")
+}
+
+// BenchmarkFleetMemoFill measures a memo fill, the set-up of the
+// city-warm shape: replayScenario resized to 16,384 devices into a
+// fresh memo each iteration, 2 workers, rows to an NDJSON sink on
+// io.Discard. The misses are the devices simulated; every other
+// device replays its class's trajectory. Reported as devices/s and
+// misses per fill.
+func BenchmarkFleetMemoFill(b *testing.B) {
+	const devices = 16384
+	src := replaySource(b, devices)
+	var misses uint64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rep, err := fleet.RunStream(src, fleet.StreamOptions{
+			Workers: 2, Memo: memo.New(0), Sink: fleet.NewNDJSONSink(io.Discard),
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		misses = rep.Memo.Misses
+	}
+	b.ReportMetric(float64(devices)*float64(b.N)/b.Elapsed().Seconds(), "devices/s")
+	b.ReportMetric(float64(misses), "misses")
 }
 
 // replayModel quantizes a randomly initialized model with MNIST's

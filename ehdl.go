@@ -215,10 +215,12 @@ func StreamFleet(src FleetSource, opts FleetStreamOptions) (FleetReport, error) 
 }
 
 // FleetMemo is the content-addressed inference memo: set it on
-// FleetStreamOptions.Memo to dedup identical device runs. Tier 1
-// replays whole outcomes keyed on (engine, model digest, input
-// digest, harvest fingerprint); Tier 2 replays the compute side of
-// voltage-oblivious engines when the inference provably fits one
+// FleetStreamOptions.Memo to dedup device runs. It simulates each
+// harvest class once and replays its trajectory, keyed on (engine,
+// model digest, input length, harvest fingerprint), with each input's
+// reference prediction; runs that resumed onto an overwritten input
+// stay keyed on their input. A compute tier replays voltage-oblivious
+// engines across waveforms when the inference provably fits one
 // capacitor charge. Rows and report stay bit-identical to an
 // unmemoized run; counters land in FleetReport.Memo.
 type FleetMemo = memo.Memo

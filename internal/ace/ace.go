@@ -60,6 +60,16 @@ type Engine struct {
 	filtersPerChunk []int
 	// posBase[li] is the linear FLEX-progress base of layer li.
 	posBase []uint64
+
+	// entered and staleResume are host-side records, never read by
+	// Boot's control flow and never charged to the device: the
+	// furthest layer any boot of the run has entered, and whether a
+	// FLEX restore ever landed in an earlier layer. Such a restore
+	// re-reads an input buffer a later layer may have overwritten
+	// (the two activation buffers ping-pong), so the run's logits can
+	// leave the reference executor's.
+	entered     int
+	staleResume bool
 }
 
 // New builds an ACE engine. fx may be nil for plain ACE (no
@@ -216,6 +226,11 @@ func (e *Engine) Progress() uint64 {
 	return e.fx.Position()
 }
 
+// StaleResume implements exec.StaleResumer: it reports whether a
+// FLEX restore of this run landed in a layer earlier than the furthest
+// one a previous boot entered.
+func (e *Engine) StaleResume() bool { return e.staleResume }
+
 // snapPos maps a restored FLEX snapshot to its linear position.
 func (e *Engine) snapPos(s flex.Snapshot) uint64 {
 	if s.Layer >= len(e.store.Layers) {
@@ -245,10 +260,12 @@ func (e *Engine) Boot(d *device.Device) error {
 		if s, ok := e.fx.Restore(d, e.snapPos); ok {
 			startLayer = s.Layer
 			resume = &s
+			e.staleResume = e.staleResume || s.Layer < e.entered
 		}
 	}
 
 	for li := startLayer; li < len(e.store.Layers); li++ {
+		e.entered = max(e.entered, li)
 		l := &e.store.Layers[li]
 		in := e.layerIn(li)
 		out := e.act[e.bufOut[li]]

@@ -190,8 +190,8 @@ func (s *FleetSource) buildProfile(spec *compiledSpec, i int) (harvest.Profile, 
 // <= 0 keeps the continuous draw). Quantization trades waveform
 // variety for fleet-memo hit rate: a 10k-device spec with jitter_steps
 // 32 has at most 32 distinct harvest fingerprints instead of 10k, so
-// all but one device per bin replay from the Tier-1 cache while the
-// fleet still spans the full ±jitter spread.
+// all but one device per bin replay from the memo's trajectory cache
+// while the fleet still spans the full ±jitter spread.
 func quantizedJitterScale(seed int64, i int, jitter float64, steps int) float64 {
 	if jitter == 0 {
 		return 1

@@ -2,13 +2,13 @@ package exec_test
 
 import (
 	"errors"
-	"math/rand"
 	"testing"
 
 	"ehdl/internal/ace"
 	"ehdl/internal/baseline"
 	"ehdl/internal/device"
 	"ehdl/internal/exec"
+	"ehdl/internal/exec/exectest"
 	"ehdl/internal/fixed"
 	"ehdl/internal/flex"
 	"ehdl/internal/harvest"
@@ -18,71 +18,6 @@ import (
 	"ehdl/internal/sonic"
 	"ehdl/internal/tails"
 )
-
-// testModel quantizes a randomly initialized model (no training —
-// bit-exactness does not care about accuracy).
-func testModel(t testing.TB, arch *nn.Arch, seed int64) *quant.Model {
-	t.Helper()
-	rng := rand.New(rand.NewSource(seed))
-	net := arch.Build(rng)
-	calib := make([][]float64, 6)
-	for i := range calib {
-		x := make([]float64, arch.InLen())
-		for j := range x {
-			x[j] = rng.Float64()*2 - 1
-		}
-		calib[i] = x
-	}
-	m, err := quant.Quantize(net, arch, calib)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return m
-}
-
-// denseArch exercises conv/pool/relu/flatten/dense for the
-// uncompressed-model engines.
-func denseArch() *nn.Arch {
-	return &nn.Arch{
-		Name: "test-dense", InShape: [3]int{1, 8, 8}, NumClasses: 4,
-		Specs: []nn.LayerSpec{
-			{Kind: "conv", InC: 1, InH: 8, InW: 8, OutC: 4, KH: 3, KW: 3},
-			{Kind: "pool", InC: 4, InH: 6, InW: 6, PoolSize: 2},
-			{Kind: "relu", N: 4 * 3 * 3},
-			{Kind: "flatten", N: 36},
-			{Kind: "dense", In: 36, Out: 16},
-			{Kind: "relu", N: 16},
-			{Kind: "dense", In: 16, Out: 4},
-		},
-	}
-}
-
-// bcmArch adds a padded BCM layer for the ACE engine.
-func bcmArch() *nn.Arch {
-	return &nn.Arch{
-		Name: "test-bcm", InShape: [3]int{1, 8, 8}, NumClasses: 4,
-		Specs: []nn.LayerSpec{
-			{Kind: "conv", InC: 1, InH: 8, InW: 8, OutC: 4, KH: 3, KW: 3},
-			{Kind: "pool", InC: 4, InH: 6, InW: 6, PoolSize: 2},
-			{Kind: "relu", N: 4 * 3 * 3},
-			{Kind: "flatten", N: 36},
-			// WeightNorm exercises the cosine-normalization path in
-			// every engine; q=5 pads 36→40.
-			{Kind: "bcm", In: 36, Out: 16, K: 8, WeightNorm: true},
-			{Kind: "relu", N: 16},
-			{Kind: "dense", In: 16, Out: 4},
-		},
-	}
-}
-
-func randInput(n int, seed int64) []fixed.Q15 {
-	rng := rand.New(rand.NewSource(seed))
-	x := make([]fixed.Q15, n)
-	for i := range x {
-		x[i] = fixed.FromFloat(rng.Float64()*2 - 1)
-	}
-	return x
-}
 
 type engineFactory struct {
 	name string
@@ -125,7 +60,7 @@ func modelFor(t *testing.T, bcm bool) *quant.Model {
 	// Every engine runs the same compressed model; bcm only selects
 	// the reference discipline. The dense arch is exercised separately.
 	_ = bcm
-	return testModel(t, bcmArch(), 11)
+	return exectest.Model(t, exectest.BCMArch(), 11)
 }
 
 func refFor(f engineFactory, m *quant.Model) *quant.Executor {
@@ -143,7 +78,7 @@ func TestEnginesMatchReferenceExecutor(t *testing.T) {
 		m := modelFor(t, f.bcm)
 		ref := refFor(f, m)
 		for trial := int64(0); trial < 5; trial++ {
-			in := randInput(64, 100+trial)
+			in := exectest.RandInput(64, 100+trial)
 			want := ref.Forward(in)
 
 			d := device.New(device.DefaultCosts(), device.Continuous{})
@@ -186,7 +121,7 @@ func TestCrashConsistency(t *testing.T) {
 			continue // no intermittent support: covered by the DNF test
 		}
 		m := modelFor(t, f.bcm)
-		in := randInput(64, 7)
+		in := exectest.RandInput(64, 7)
 		want := refFor(f, m).Forward(in)
 
 		totalBoots := uint64(0)
@@ -236,7 +171,7 @@ func TestNonPersistentEnginesNeverFinish(t *testing.T) {
 			continue
 		}
 		m := modelFor(t, f.bcm)
-		in := randInput(64, 8)
+		in := exectest.RandInput(64, 8)
 		cfg := harvest.PaperConfig()
 		cfg.CapacitanceF = 1.0e-6 // far too small for a full inference
 		supply, err := harvest.NewCapacitor(cfg, harvest.ConstantProfile{Watts: 4e-4})
@@ -270,7 +205,7 @@ func TestProgressMonotonic(t *testing.T) {
 	// additionally check progress lands at a positive value.
 	f := factories(t)[4] // ace+flex
 	m := modelFor(t, true)
-	in := randInput(64, 9)
+	in := exectest.RandInput(64, 9)
 	cfg := harvest.PaperConfig()
 	cfg.CapacitanceF = 2.2e-6
 	supply, err := harvest.NewCapacitor(cfg, harvest.ConstantProfile{Watts: 4e-4})
@@ -305,7 +240,7 @@ func TestProgressMonotonic(t *testing.T) {
 // intermittent case; continuous should be even tighter).
 func TestCheckpointCostsOnlyUnderFailures(t *testing.T) {
 	m := modelFor(t, true)
-	in := randInput(64, 10)
+	in := exectest.RandInput(64, 10)
 
 	run := func(withFlex bool) device.Stats {
 		d := device.New(device.DefaultCosts(), device.Continuous{})
@@ -347,7 +282,7 @@ func TestCheckpointCostsOnlyUnderFailures(t *testing.T) {
 // TestSRAMCeiling: the ACE engine on the largest paper model must fit
 // the 8 KB SRAM (the whole point of circular buffering + staging).
 func TestSRAMCeiling(t *testing.T) {
-	m := testModel(t, nn.OKGArch(256, 128, 64), 21)
+	m := exectest.Model(t, nn.OKGArch(256, 128, 64), 21)
 	d := device.New(device.DefaultCosts(), device.Continuous{})
 	store, err := exec.NewModelStore(d, m)
 	if err != nil {
@@ -357,7 +292,7 @@ func TestSRAMCeiling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ace.New(d, store, randInput(784, 3), fx); err != nil {
+	if _, err := ace.New(d, store, exectest.RandInput(784, 3), fx); err != nil {
 		t.Fatalf("OKG model does not fit: %v (SRAM used %d)", err, d.SRAMUsed())
 	}
 	if d.SRAMUsed() > d.Costs.SRAMBytes {
@@ -370,9 +305,9 @@ func TestSRAMCeiling(t *testing.T) {
 // the all-dense architecture (no BCM layers: the two disciplines
 // coincide).
 func TestEnginesMatchReferenceOnDenseModel(t *testing.T) {
-	m := testModel(t, denseArch(), 31)
+	m := exectest.Model(t, exectest.DenseArch(), 31)
 	ref := quant.NewExecutor(m)
-	in := randInput(64, 55)
+	in := exectest.RandInput(64, 55)
 	want := ref.Forward(in)
 	for _, f := range factories(t) {
 		d := device.New(device.DefaultCosts(), device.Continuous{})
@@ -400,11 +335,11 @@ func TestEnginesMatchReferenceOnDenseModel(t *testing.T) {
 // must agree within fixed-point tolerance (they compute the same real
 // values with different rounding).
 func TestBCMDisciplinesAgree(t *testing.T) {
-	m := testModel(t, bcmArch(), 41)
+	m := exectest.Model(t, exectest.BCMArch(), 41)
 	fft := quant.NewExecutor(m)
 	tim := quant.NewTimeExecutor(m)
 	for trial := int64(0); trial < 5; trial++ {
-		in := randInput(64, 200+trial)
+		in := exectest.RandInput(64, 200+trial)
 		a := fft.Forward(in)
 		b := tim.Forward(in)
 		for i := range a {
@@ -430,7 +365,7 @@ func TestInputLengthValidation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := f.make(d, store, randInput(7, 1)); err == nil {
+		if _, err := f.make(d, store, exectest.RandInput(7, 1)); err == nil {
 			t.Errorf("%s accepted a bad input length", f.name)
 		}
 	}

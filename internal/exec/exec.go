@@ -263,6 +263,19 @@ type Report struct {
 	// Intermittent is non-nil when the run went through the
 	// power-failure runner.
 	Intermittent *intermittent.Result
+	// CleanResumes reports an intermittent run in which no boot
+	// resumed onto an input a later layer may have overwritten (see
+	// StaleResumer). Such a run that completes predicts what the host
+	// reference executor does on its input. False, the zero value, is
+	// the conservative answer, and RunContinuous leaves it so.
+	CleanResumes bool
+}
+
+// StaleResumer is implemented by engines that can resume a layer
+// whose input buffer a later layer already reused. StaleResume reports
+// whether the run did; it is recorded host-side and charges nothing.
+type StaleResumer interface {
+	StaleResume() bool
 }
 
 // Argmax returns the predicted class of quantized logits.
@@ -307,5 +320,7 @@ func RunIntermittent(d *device.Device, e Engine, r *intermittent.Runner) Report 
 		rep.Logits = e.Output()
 		rep.Predicted = Argmax(rep.Logits)
 	}
+	sr, ok := e.(StaleResumer)
+	rep.CleanResumes = !ok || !sr.StaleResume()
 	return rep
 }

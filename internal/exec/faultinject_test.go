@@ -5,6 +5,7 @@ import (
 
 	"ehdl/internal/device"
 	"ehdl/internal/exec"
+	"ehdl/internal/exec/exectest"
 	"ehdl/internal/fixed"
 	"ehdl/internal/intermittent"
 	"ehdl/internal/nn"
@@ -96,8 +97,8 @@ func runFaultSweep(t *testing.T, f engineFactory, m *quant.Model, in, want []fix
 // charged operation of a pure BCM layer — the FLEX stage machine's
 // home turf.
 func TestExhaustiveFaultInjectionBCMOnly(t *testing.T) {
-	m := testModel(t, bcmOnlyArch(), 11)
-	in := randInput(36, 7)
+	m := exectest.Model(t, bcmOnlyArch(), 11)
+	in := exectest.RandInput(36, 7)
 	for _, f := range factories(t) {
 		if f.name == "base" || f.name == "ace" {
 			continue // no intermittent support
@@ -116,8 +117,8 @@ func TestExhaustiveFaultInjectionFullModel(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fault sweep is thorough but slow")
 	}
-	m := testModel(t, bcmArch(), 11)
-	in := randInput(64, 7)
+	m := exectest.Model(t, exectest.BCMArch(), 11)
+	in := exectest.RandInput(64, 7)
 	for _, f := range factories(t) {
 		if f.name == "base" || f.name == "ace" {
 			continue

@@ -12,6 +12,7 @@ import (
 	"ehdl/internal/core"
 	"ehdl/internal/device"
 	"ehdl/internal/exec"
+	"ehdl/internal/exec/exectest"
 	"ehdl/internal/flex"
 	"ehdl/internal/harvest"
 	"ehdl/internal/intermittent"
@@ -19,13 +20,13 @@ import (
 	"ehdl/internal/quant"
 )
 
-// maskedBCMModel is bcmArch with a shape-pruned first conv: every
+// maskedBCMModel is exectest.BCMArch with a shape-pruned first conv: every
 // filter keeps the same seven of its nine kernel positions, so the
 // quantized layer carries Kept and the store flashes compacted
 // weights.
 func maskedBCMModel(t testing.TB) *quant.Model {
 	t.Helper()
-	arch := bcmArch()
+	arch := exectest.BCMArch()
 	rng := rand.New(rand.NewSource(13))
 	net := arch.Build(rng)
 	conv := net.Layers[0].(*nn.Conv2D)
@@ -140,8 +141,8 @@ func TestEngineStatsGolden(t *testing.T) {
 		name string
 		m    *quant.Model
 	}{
-		{"dense", testModel(t, denseArch(), 31)},
-		{"bcm", testModel(t, bcmArch(), 11)},
+		{"dense", exectest.Model(t, exectest.DenseArch(), 31)},
+		{"bcm", exectest.Model(t, exectest.BCMArch(), 11)},
 		{"bcm-masked", maskedBCMModel(t)},
 	}
 	// The microfarad capacitors need FLEX to warn earlier than its
@@ -150,7 +151,7 @@ func TestEngineStatsGolden(t *testing.T) {
 	seen := 0
 	for _, kind := range core.AllEngines() {
 		for _, mc := range models {
-			in := randInput(64, 5)
+			in := exectest.RandInput(64, 5)
 			for _, sup := range goldenSupplies() {
 				name := fmt.Sprintf("%s/%s/%s", kind, mc.name, sup.name)
 				var supply device.Supply = device.Continuous{}

@@ -13,6 +13,7 @@ import (
 	"ehdl/internal/core"
 	"ehdl/internal/device"
 	"ehdl/internal/exec"
+	"ehdl/internal/exec/exectest"
 	"ehdl/internal/fixed"
 	"ehdl/internal/flex"
 	"ehdl/internal/harvest"
@@ -35,8 +36,8 @@ func goldenCases(tb testing.TB) []goldenCase {
 		name string
 		m    *quant.Model
 	}{
-		{"dense", testModel(tb, denseArch(), 31)},
-		{"bcm", testModel(tb, bcmArch(), 11)},
+		{"dense", exectest.Model(tb, exectest.DenseArch(), 31)},
+		{"bcm", exectest.Model(tb, exectest.BCMArch(), 11)},
 		{"bcm-masked", maskedBCMModel(tb)},
 	}
 	var cases []goldenCase
@@ -54,9 +55,6 @@ func goldenCases(tb testing.TB) []goldenCase {
 	}
 	return cases
 }
-
-// goldenInput is the input every golden case runs.
-func goldenInput() []fixed.Q15 { return randInput(64, 5) }
 
 // run simulates the case on a fresh device with input in, exactly as
 // TestEngineStatsGolden does.
@@ -199,149 +197,38 @@ func trajectoryDigest(rep exec.Report) string {
 	return hex.EncodeToString(h.Sum(nil))[:16]
 }
 
-// namedInput is one input of the trajectory set.
-type namedInput struct {
-	name string
-	x    []fixed.Q15
-}
-
-// trajectoryInputs is the input set every golden case must run to one
-// trajectory: the golden input, the degenerate inputs that could make
-// two boots' write logs look alike, one input that saturates the
-// first layer's MACs, and three seeded random inputs.
-func trajectoryInputs(m *quant.Model) []namedInput {
-	const n = 64
-	fill := func(f func(i int) fixed.Q15) []fixed.Q15 {
-		x := make([]fixed.Q15, n)
-		for i := range x {
-			x[i] = f(i)
-		}
-		return x
-	}
-	set := []namedInput{
-		{"golden", goldenInput()},
-		{"zero", fill(func(int) fixed.Q15 { return 0 })},
-		{"0x7fff", fill(func(int) fixed.Q15 { return fixed.One })},
-		{"0x8000", fill(func(int) fixed.Q15 { return fixed.MinusOne })},
-		{"alternating", fill(func(i int) fixed.Q15 {
-			if i%2 == 0 {
-				return fixed.One
-			}
-			return fixed.MinusOne
-		})},
-		{"saturating", saturatingInput(m)},
-	}
-	for seed := int64(1); seed <= 3; seed++ {
-		set = append(set, namedInput{fmt.Sprintf("random-%d", seed), randInput(n, 100+seed)})
-	}
-	return set
-}
-
-// macOutputs runs x through the model's time-domain reference layer
-// by layer and returns the outputs of its MAC layers (conv, dense and
-// BCM).
-func macOutputs(m *quant.Model, x []fixed.Q15) [][]fixed.Q15 {
-	var outs [][]fixed.Q15
-	for i := range m.Layers {
-		l := &m.Layers[i]
-		switch l.Spec.Kind {
-		case "conv":
-			x = quant.ConvLayer(l, x)
-		case "dense":
-			x = quant.DenseLayer(l, x)
-		case "bcm":
-			x = quant.BCMLayerTime(l, x)
-		case "pool":
-			x = quant.PoolLayer(l, x)
-			continue
-		case "relu":
-			x = quant.ReLULayer(l, x)
-			continue
-		default:
-			continue
-		}
-		outs = append(outs, x)
-	}
-	return outs
-}
-
-// saturated counts the full-scale values among outs.
-func saturated(outs [][]fixed.Q15) int {
-	n := 0
-	for _, out := range outs {
-		for _, v := range out {
-			if v == fixed.One || v == fixed.MinusOne {
-				n++
-			}
-		}
-	}
-	return n
-}
-
-// saturatingInputs caches saturatingInput per model.
-var saturatingInputs = map[*quant.Model][]fixed.Q15{}
-
-// saturatingInput searches the full-scale inputs for one that
-// saturates MAC outputs of the model: starting from all 0x7FFF, it
-// flips one input's sign at a time and keeps each flip that raises the
-// number of saturated MAC outputs, or their largest magnitude, until a
-// whole pass improves nothing.
-func saturatingInput(m *quant.Model) []fixed.Q15 {
-	if x, ok := saturatingInputs[m]; ok {
-		return x
-	}
-	score := func(x []fixed.Q15) int {
-		outs := macOutputs(m, x)
-		peak := 0
-		for _, out := range outs {
-			for _, v := range out {
-				peak = max(peak, int(v), -int(v))
-			}
-		}
-		return saturated(outs)<<16 | peak
-	}
-	x := make([]fixed.Q15, 64)
-	for i := range x {
-		x[i] = fixed.One
-	}
-	best := score(x)
-	for improved := true; improved; {
-		improved = false
-		for i := range x {
-			x[i] = ^x[i] // 0x7FFF <-> 0x8000
-			if s := score(x); s > best {
-				best, improved = s, true
-			} else {
-				x[i] = ^x[i]
-			}
-		}
-	}
-	saturatingInputs[m] = x
-	return x
-}
-
 // TestEngineTrajectoryInputIndependent pins that a device's energy
 // trajectory does not depend on its input. Across the golden matrix
 // (5 engines × 3 models × 10 supplies) every input of
-// trajectoryInputs must give the golden input's digest of the
+// exectest.TrajectoryInputs must give the golden input's digest of the
 // device.Stats fields, the runner's verdict and the BootRecord ring:
 // boots, times, energy and diagnosis are functions of (engine, model,
 // supply) alone, and only the logits follow the input. Every run that
 // completes under an intermittent supply must also produce the host
-// reference executor's logits bit for bit. No input has differed yet;
-// one that does goes into this comment, and the test stays.
+// reference executor's logits bit for bit, except the known-wrong
+// cases. No input has differed yet; one that does goes into this
+// comment, and the test stays.
+//
+// The fleet memo keys rows on the trajectory when Report.CleanResumes
+// is set, so the test also pins that flag: it agrees across the
+// inputs of every case, it is unset in every knownWrongLogits case,
+// and a clean run that completes matches the reference.
 func TestEngineTrajectoryInputIndependent(t *testing.T) {
 	for _, c := range goldenCases(t) {
-		want := trajectoryDigest(c.run(t, goldenInput()))
+		golden := c.run(t, exectest.GoldenInput())
+		want := trajectoryDigest(golden)
 		ref := c.reference()
 		var wrong []string
-		for _, in := range trajectoryInputs(c.model) {
-			rep := c.run(t, in.x)
+		for _, in := range exectest.TrajectoryInputs(c.model) {
+			rep := c.run(t, in.X)
 			if got := trajectoryDigest(rep); got != want {
-				t.Errorf("%s: input %s gives trajectory %s, golden input %s", c.name, in.name, got, want)
+				t.Errorf("%s: input %s gives trajectory %s, golden input %s", c.name, in.Name, got, want)
 			}
-			if !c.logitsMatch(ref, in.x, rep) {
-				wrong = append(wrong, in.name)
+			if rep.CleanResumes != golden.CleanResumes {
+				t.Errorf("%s: input %s gives CleanResumes %v, golden input %v", c.name, in.Name, rep.CleanResumes, golden.CleanResumes)
+			}
+			if !c.logitsMatch(ref, in.X, rep) {
+				wrong = append(wrong, in.Name)
 			}
 		}
 		switch {
@@ -349,6 +236,8 @@ func TestEngineTrajectoryInputIndependent(t *testing.T) {
 			t.Errorf("%s: reference logits on every input now; drop it from knownWrongLogits", c.name)
 		case !knownWrongLogits[c.name] && len(wrong) > 0:
 			t.Errorf("%s: completed with logits off the reference on inputs %v", c.name, wrong)
+		case knownWrongLogits[c.name] && golden.CleanResumes:
+			t.Errorf("%s: completes off the reference, yet no resume was flagged stale", c.name)
 		}
 	}
 }
@@ -362,7 +251,7 @@ func TestSaturatingInputSaturates(t *testing.T) {
 		if strings.Contains(c.name, "/bcm/") {
 			continue
 		}
-		if n := saturated(macOutputs(c.model, saturatingInput(c.model))); n == 0 {
+		if n := exectest.Saturated(exectest.MACOutputs(c.model, exectest.SaturatingInput(c.model))); n == 0 {
 			t.Errorf("%s: no MAC output saturates", c.name)
 		}
 	}
@@ -372,8 +261,9 @@ func TestSaturatingInputSaturates(t *testing.T) {
 // inputs (two little-endian bytes per value, zero-padded to the
 // model's 64 inputs) on every engine and model, under the paper's
 // square wave and the smallest capacitor on the constant and sine
-// sources. Completed runs must match the reference logits, except on
-// the knownWrongLogits cases.
+// sources. CleanResumes must agree with the golden input's, and
+// completed runs must match the reference logits, except on the
+// knownWrongLogits cases when their run is flagged.
 func FuzzEngineTrajectory(f *testing.F) {
 	var cases []goldenCase
 	for _, c := range goldenCases(f) {
@@ -383,9 +273,11 @@ func FuzzEngineTrajectory(f *testing.F) {
 		}
 	}
 	want := make([]string, len(cases))
+	clean := make([]bool, len(cases))
 	refs := make([]*quant.Executor, len(cases))
 	for i, c := range cases {
-		want[i] = trajectoryDigest(c.run(f, goldenInput()))
+		golden := c.run(f, exectest.GoldenInput())
+		want[i], clean[i] = trajectoryDigest(golden), golden.CleanResumes
 		refs[i] = c.reference()
 	}
 	rng := rand.New(rand.NewSource(7))
@@ -407,7 +299,10 @@ func FuzzEngineTrajectory(f *testing.F) {
 			if got := trajectoryDigest(rep); got != want[i] {
 				t.Fatalf("%s: input %v gives trajectory %s, golden input %s", c.name, in, got, want[i])
 			}
-			if !knownWrongLogits[c.name] && !c.logitsMatch(refs[i], in, rep) {
+			if rep.CleanResumes != clean[i] {
+				t.Fatalf("%s: input %v gives CleanResumes %v, golden input %v", c.name, in, rep.CleanResumes, clean[i])
+			}
+			if (clean[i] || !knownWrongLogits[c.name]) && !c.logitsMatch(refs[i], in, rep) {
 				t.Fatalf("%s: input %v completed with logits off the reference", c.name, in)
 			}
 		}

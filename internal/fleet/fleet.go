@@ -61,6 +61,11 @@ type Result struct {
 	FastForwarded uint64
 	// Err is the intermittent sentinel on a DNF, or a setup error.
 	Err error
+	// CleanResumes is exec.Report's flag: no boot resumed onto an
+	// input a later layer may have overwritten, so a completed run
+	// predicted what the reference executor does. False (setup errors
+	// too) makes the memo key the row on its input. Not in NDJSON rows.
+	CleanResumes bool
 	// Memo tags how the row was obtained when the run was memoized:
 	// "miss" (simulated and cached), "hit-full" (whole outcome
 	// replayed), or "hit-compute" (compute side replayed, boot-0
@@ -145,6 +150,7 @@ func runOne(s Scenario) Result {
 	res.Diagnosis = string(rep.Intermittent.Diagnosis.Kind)
 	res.FastForwarded = rep.Intermittent.Diagnosis.FastForwarded
 	res.Err = rep.Intermittent.Err
+	res.CleanResumes = rep.CleanResumes
 	return res
 }
 

@@ -24,7 +24,7 @@ func inputKey(t *testing.T, xs []fixed.Q15) [32]byte {
 	t.Helper()
 	d := dev()
 	d.Input = xs
-	return probe(t, d).full.Input
+	return probe(t, d).input
 }
 
 // TestInputDigestMatchesHashQ15: a fresh slice, a cached one, an
@@ -135,13 +135,13 @@ func TestInputDigestConcurrent(t *testing.T) {
 				d := dev()
 				d.Input = shared[i]
 				p, ok := NewProbe(d)
-				if !ok || p.full.Input != want[i] {
+				if !ok || p.input != want[i] {
 					errs <- "shared input keyed wrong"
 					return
 				}
 				own[k%len(own)]++
 				d.Input = own
-				if p, _ := NewProbe(d); p.full.Input != quant.HashQ15(own) {
+				if p, _ := NewProbe(d); p.input != quant.HashQ15(own) {
 					errs <- "mutated private input keyed wrong"
 					return
 				}

@@ -12,15 +12,15 @@ import (
 // that shapes an intermittent run — capacitor config, harvest
 // waveform (with any per-device jitter already folded into its power
 // parameters), FLEX policy, and runner limits — into one 64-bit
-// FNV-1a value for the Tier-1 key. Two devices with equal
-// fingerprints (and equal engine/model/input) run bit-identical
-// simulations.
+// FNV-1a value for the trajectory and Tier-1 keys. Two devices with
+// equal fingerprints (and equal engine, model and input length) run
+// the same trajectory.
 //
 // ok is false for any profile outside the capacitor's closed set (the
 // value profiles and *TraceProfile): harvest.NewCapacitor rejects it,
 // so its device is a setup error, and keying it — a pointer like its
 // value, say — would false-hit an equal device's completed row. A
-// false Tier-1 hit is the one failure mode the memo must never have,
+// false hit is the one failure mode the memo must never have,
 // so such profiles bypass memoization entirely.
 func harvestFingerprint(cfg harvest.Config, p harvest.Profile, fx *flex.Config, r *intermittent.Runner) (uint64, bool) {
 	h := fnv64a(fnvOffset64)

@@ -1,27 +1,42 @@
 // Package memo is the fleet's content-addressed inference memo: a
 // bounded, concurrency-safe cache the fleet workers consult before
-// simulating a device, so a million-device sweep that cycles a
-// handful of quantized inputs over a few models and engines turns
-// into a handful of real simulations plus a map lookup per device.
+// simulating a device, so a million-device sweep over a few harvest
+// classes turns into one real simulation per class plus a map lookup
+// per device.
 //
-// Two tiers share one LRU:
+// A device's energy trajectory (boots, times, energy, verdict) is a
+// function of its harvest setup alone, never of its input: the
+// trajectory tests in internal/exec pin this for every engine. So a
+// row is the trajectory of its class plus the prediction of its input,
+// and the memo caches the two apart. Four kinds of entry share one LRU:
 //
-//   - Tier 1 keys the ENTIRE intermittent outcome on (engine, model
-//     content digest, input digest, harvest fingerprint), where the
-//     harvest fingerprint covers the capacitor config, the profile
-//     waveform with the per-device jitter scale folded in, and any
-//     FLEX/runner overrides. Two devices with equal Tier-1 keys run
-//     bit-identical simulations, so the cached row replays directly.
-//   - Tier 2 keys the compute side alone on (engine, model digest,
-//     input digest) and stores the single-charge run: prediction,
-//     active time, and energy of an inference that completed on its
-//     first boot. It is served only when that outcome is provably
-//     harvest-independent — the engine never samples the rail voltage
-//     (base, sonic, tails, ace; FLEX's checkpoint policy reads the
-//     rail, so ace+flex is excluded) and the whole inference fits the
-//     querying device's usable charge even if it harvested nothing —
-//     in which case the device completes on boot 0 with exactly the
-//     cached compute stream, whatever its waveform or jitter.
+//   - A trajectory entry keys the outcome, less its prediction, on
+//     (engine, model content digest, input length, harvest
+//     fingerprint), where the harvest fingerprint covers the
+//     capacitor config, the profile waveform with the per-device
+//     jitter scale folded in, and any FLEX/runner overrides.
+//   - A prediction entry keys the argmax of the host reference
+//     executor on (BCM discipline, model digest, input digest): the
+//     FFT executor for ACE and ACE+FLEX, the time-domain one for the
+//     baselines. Lookup computes it on a miss. A replayed row that
+//     completed takes this argmax; any other row predicts -1.
+//   - The input-keyed entry keys the whole outcome on (engine, model
+//     digest, input digest, harvest fingerprint). It holds the runs
+//     whose CleanResumes flag is unset: ACE+FLEX can resume a layer
+//     onto an input a later layer already overwrote, and then its
+//     logits leave the reference. The flag is a property of the
+//     trajectory, so a class is either all clean or all input-keyed.
+//   - A compute entry keys the compute side alone on (engine, model
+//     digest, input digest) and stores the single-charge run:
+//     prediction, active time, and energy of an inference that
+//     completed on its first boot. It is served only when that outcome
+//     is provably harvest-independent — the engine never samples the
+//     rail voltage (base, sonic, tails, ace; FLEX's checkpoint policy
+//     reads the rail, so ace+flex is excluded) and the whole inference
+//     fits the querying device's usable charge even if it harvested
+//     nothing — in which case the device completes on boot 0 with
+//     exactly the cached compute stream, whatever its waveform or
+//     jitter.
 //
 // A probe costs a copy, not a hash: the model digest is cached on the
 // model, the harvest fingerprint is an allocation-free FNV-1a, and
@@ -34,15 +49,18 @@
 //
 // Everything served is bit-identical to the unmemoized pipeline:
 // hits replay values produced by a real simulation of an equivalent
-// device, racing fills keep the first value, and an LRU miss simply
-// re-simulates (and re-fills) deterministically. Only the hit/miss
-// counters depend on scheduling.
+// device or by the reference executor the engines match, racing fills
+// keep the first value, and an LRU miss simply re-simulates (and
+// re-fills) deterministically. Only the hit/miss counters depend on
+// scheduling.
 package memo
 
 import (
 	"math"
-	gosync "sync"
+	"sync/atomic"
 
+	"ehdl/internal/core"
+	"ehdl/internal/exec"
 	"ehdl/internal/fixed"
 	"ehdl/internal/flex"
 	"ehdl/internal/harvest"
@@ -51,22 +69,37 @@ import (
 )
 
 // DefaultCapacity bounds the memo when the caller does not choose a
-// size: 64k entries of ~150 B is a ~10 MB ceiling, far above the
-// equivalence-class count of any scenario-grid fleet.
+// size: 64k entries of ~150 B is a ~10 MB ceiling. A scenario-grid
+// fleet needs one trajectory entry per harvest class, one prediction
+// per (discipline, model, input), and input-keyed entries only for its
+// stale-resume classes (one per class and input): citywide, for one,
+// settles near 600 entries.
 const DefaultCapacity = 1 << 16
 
-// Key is the content address of one device run. Tier-2 keys zero the
-// harvest fingerprint: the compute side does not depend on it.
+// The key tiers: the input-keyed outcome, the compute side, the
+// trajectory and the reference prediction.
+const (
+	tierFull uint8 = iota + 1
+	tierCompute
+	tierTrajectory
+	tierPrediction
+)
+
+// Key is the content address of one cache entry. Each tier sets the
+// fields it keys on and leaves the rest zero: compute keys have no
+// harvest fingerprint, trajectory keys no input digest, and prediction
+// keys hold the BCM discipline in Engine.
 type Key struct {
-	Tier    uint8
-	Engine  string
-	Model   [32]byte
-	Input   [32]byte
-	Harvest uint64
+	Tier     uint8
+	Engine   string
+	Model    [32]byte
+	Input    [32]byte
+	InputLen int
+	Harvest  uint64
 }
 
-// Outcome is a cached Tier-1 row: everything the fleet's aggregator
-// and NDJSON sink consume, minus the per-device name.
+// Outcome is a cached row: everything the fleet's aggregator and
+// NDJSON sink consume, minus the per-device name.
 type Outcome struct {
 	Profile       string
 	Completed     bool
@@ -80,6 +113,10 @@ type Outcome struct {
 	// Err is the run's sentinel error value, shared by every replayed
 	// row (errors are immutable; sinks only render Err.Error()).
 	Err error
+	// CleanResumes is exec.Report's flag. Set, the outcome is filed
+	// under its trajectory and replays with the reference prediction;
+	// unset (the zero value), it is filed under its input.
+	CleanResumes bool
 }
 
 // compute is a cached Tier-2 entry: the harvest-independent
@@ -105,11 +142,12 @@ type Device struct {
 	Runner           *intermittent.Runner
 }
 
-// Probe is a prepared lookup: the device plus its two content keys.
+// Probe is a prepared lookup: the device plus its content digests.
 type Probe struct {
 	dev     Device
-	full    Key
-	computK Key
+	model   [32]byte
+	input   [32]byte
+	harvest uint64
 }
 
 // NewProbe builds the content keys for d. ok is false when the device
@@ -125,13 +163,34 @@ func NewProbe(d Device) (*Probe, bool) {
 	if !ok {
 		return nil, false
 	}
-	md := d.Model.ContentDigest()
-	id := inputDigest(d.Input)
-	return &Probe{
-		dev:     d,
-		full:    Key{Tier: 1, Engine: d.Engine, Model: md, Input: id, Harvest: hfp},
-		computK: Key{Tier: 2, Engine: d.Engine, Model: md, Input: id},
-	}, true
+	return &Probe{dev: d, model: d.Model.ContentDigest(), input: inputDigest(d.Input), harvest: hfp}, true
+}
+
+func (p *Probe) full() Key {
+	return Key{Tier: tierFull, Engine: p.dev.Engine, Model: p.model, Input: p.input, Harvest: p.harvest}
+}
+
+func (p *Probe) computK() Key {
+	return Key{Tier: tierCompute, Engine: p.dev.Engine, Model: p.model, Input: p.input}
+}
+
+func (p *Probe) trajectory() Key {
+	return Key{Tier: tierTrajectory, Engine: p.dev.Engine, Model: p.model, InputLen: len(p.dev.Input), Harvest: p.harvest}
+}
+
+func (p *Probe) prediction() Key {
+	return Key{Tier: tierPrediction, Engine: discipline(p.dev.Engine), Model: p.model, Input: p.input}
+}
+
+// discipline names the BCM arithmetic an engine computes with, and so
+// the host reference executor its logits match: ACE's FFT pipeline or
+// the baselines' time domain.
+func discipline(engine string) string {
+	switch core.EngineKind(engine) {
+	case core.EngineACE, core.EngineACEFLEX:
+		return "fft"
+	}
+	return "time"
 }
 
 // HitKind labels how a lookup resolved.
@@ -161,6 +220,8 @@ func (k HitKind) String() string {
 // both miss the same key before either fills it — but FullHits +
 // ComputeHits + Misses always equals the devices that consulted the
 // memo, and the rows themselves are bit-identical regardless.
+// FullHits counts trajectory and input-keyed replays alike; Fills
+// counts entries inserted, reference predictions included.
 type Stats struct {
 	FullHits    uint64
 	ComputeHits uint64
@@ -178,13 +239,10 @@ func (s Stats) Hits() uint64 { return s.FullHits + s.ComputeHits }
 type Memo struct {
 	lru *LRU[Key, any]
 
-	mu struct {
-		gosync.Mutex
-		fullHits, computeHits, misses, fills uint64
-	}
+	fullHits, computeHits, misses, fills atomic.Uint64
 }
 
-// New returns a memo bounded to capacity entries across both tiers
+// New returns a memo bounded to capacity entries across all tiers
 // (<= 0 selects DefaultCapacity).
 func New(capacity int) *Memo {
 	if capacity <= 0 {
@@ -202,33 +260,59 @@ func New(capacity int) *Memo {
 // doubt.
 const eligibilityMargin = 0.999
 
-// Lookup consults the cache for p's device. HitFull replays the whole
-// cached row; HitCompute synthesizes a boot-0 completion from the
-// compute entry (the caller labels the profile); Miss means simulate
-// and Fill.
+// Lookup consults the cache for p's device. HitFull replays a whole
+// row: its class's trajectory with the reference prediction of its
+// input, or its input-keyed outcome. HitCompute synthesizes a boot-0
+// completion from the compute entry (the caller labels the profile);
+// Miss means simulate and Fill.
 func (m *Memo) Lookup(p *Probe) (Outcome, HitKind) {
-	if v, ok := m.lru.Get(p.full); ok {
-		m.count(&m.mu.fullHits)
+	if v, ok := m.lru.Get(p.trajectory()); ok {
+		out := v.(Outcome)
+		if out.Completed {
+			out.Predicted = m.predict(p)
+		}
+		m.fullHits.Add(1)
+		return out, HitFull
+	}
+	if v, ok := m.lru.Get(p.full()); ok {
+		m.fullHits.Add(1)
 		return v.(Outcome), HitFull
 	}
 	if p.dev.VoltageOblivious {
-		if v, ok := m.lru.Get(p.computK); ok {
+		if v, ok := m.lru.Get(p.computK()); ok {
 			c := v.(compute)
 			if singleCharge(c, p.dev.Config) {
-				m.count(&m.mu.computeHits)
+				m.computeHits.Add(1)
 				return Outcome{
-					Completed: true,
-					Predicted: c.Predicted,
-					ActiveSec: c.ActiveSec,
-					WallSec:   c.ActiveSec,
-					EnergymJ:  c.EnergymJ,
-					Diagnosis: string(intermittent.DiagCompleted),
+					Completed:    true,
+					Predicted:    c.Predicted,
+					ActiveSec:    c.ActiveSec,
+					WallSec:      c.ActiveSec,
+					EnergymJ:     c.EnergymJ,
+					Diagnosis:    string(intermittent.DiagCompleted),
+					CleanResumes: true, // boot 0 resumes nothing
 				}, HitCompute
 			}
 		}
 	}
-	m.count(&m.mu.misses)
+	m.misses.Add(1)
 	return Outcome{}, Miss
+}
+
+// predict returns the reference executor's argmax for p's input, from
+// the cache or computed and cached.
+func (m *Memo) predict(p *Probe) int {
+	k := p.prediction()
+	if v, ok := m.lru.Get(k); ok {
+		return v.(int)
+	}
+	ref := quant.NewTimeExecutor
+	if k.Engine == "fft" {
+		ref = quant.NewExecutor
+	}
+	pred := exec.Argmax(ref(p.dev.Model).Forward(p.dev.Input))
+	m.add(k, pred)
+	return pred
 }
 
 // singleCharge reports whether the cached compute run provably fits
@@ -244,50 +328,44 @@ func singleCharge(c compute, cfg harvest.Config) bool {
 	return need <= eligibilityMargin*usable && !math.IsNaN(usable)
 }
 
-// Fill stores the simulated outcome of a missed probe: always under
-// the Tier-1 key, and additionally under the Tier-2 key when the run
-// is a voltage-oblivious boot-0 completion (the harvest-independent
-// compute profile of this engine/model/input). Racing fills keep the
-// first value.
+// Fill stores the simulated outcome of a missed probe: under its
+// trajectory key, without the prediction, when out.CleanResumes is
+// set, and under its input-keyed Tier-1 key otherwise; additionally
+// under the Tier-2 key when the run is a voltage-oblivious boot-0
+// completion (the harvest-independent compute profile of this
+// engine/model/input). Racing fills keep the first value.
 func (m *Memo) Fill(p *Probe, out Outcome) {
-	fills := uint64(0)
-	if m.lru.Add(p.full, out) {
-		fills++
+	if out.CleanResumes {
+		traj := out
+		traj.Predicted = -1
+		m.add(p.trajectory(), traj)
+	} else {
+		m.add(p.full(), out)
 	}
 	if p.dev.VoltageOblivious && out.Completed && out.Boots == 0 && out.Err == nil {
-		if m.lru.Add(p.computK, compute{
+		m.add(p.computK(), compute{
 			Predicted: out.Predicted,
 			ActiveSec: out.ActiveSec,
 			EnergymJ:  out.EnergymJ,
-		}) {
-			fills++
-		}
-	}
-	if fills > 0 {
-		m.mu.Lock()
-		m.mu.fills += fills
-		m.mu.Unlock()
+		})
 	}
 }
 
-func (m *Memo) count(c *uint64) {
-	m.mu.Lock()
-	*c++
-	m.mu.Unlock()
+func (m *Memo) add(k Key, v any) {
+	if m.lru.Add(k, v) {
+		m.fills.Add(1)
+	}
 }
 
 // Stats snapshots the counters.
 func (m *Memo) Stats() Stats {
-	m.mu.Lock()
-	s := Stats{
-		FullHits:    m.mu.fullHits,
-		ComputeHits: m.mu.computeHits,
-		Misses:      m.mu.misses,
-		Fills:       m.mu.fills,
+	return Stats{
+		FullHits:    m.fullHits.Load(),
+		ComputeHits: m.computeHits.Load(),
+		Misses:      m.misses.Load(),
+		Fills:       m.fills.Load(),
+		Evictions:   m.lru.Evictions(),
+		Entries:     m.lru.Len(),
+		Capacity:    m.lru.Capacity(),
 	}
-	m.mu.Unlock()
-	s.Evictions = m.lru.Evictions()
-	s.Entries = m.lru.Len()
-	s.Capacity = m.lru.Capacity()
-	return s
 }

@@ -5,6 +5,8 @@ import (
 	"sync"
 	"testing"
 
+	"ehdl/internal/exec"
+	"ehdl/internal/exec/exectest"
 	"ehdl/internal/fixed"
 	"ehdl/internal/flex"
 	"ehdl/internal/harvest"
@@ -111,8 +113,8 @@ func TestProbeRejectsUnaddressable(t *testing.T) {
 // TestFingerprintSensitivity: every field outside the compute stream
 // must move the Tier-1 key; equal devices must share it.
 func TestFingerprintSensitivity(t *testing.T) {
-	base := probe(t, dev()).full
-	if probe(t, dev()).full != base {
+	base := probe(t, dev()).full()
+	if probe(t, dev()).full() != base {
 		t.Fatal("equal devices got different Tier-1 keys")
 	}
 	mutations := []struct {
@@ -137,7 +139,7 @@ func TestFingerprintSensitivity(t *testing.T) {
 	for _, tc := range mutations {
 		d := dev()
 		tc.mut(&d)
-		if probe(t, d).full == base {
+		if probe(t, d).full() == base {
 			t.Errorf("%s change did not move the Tier-1 key", tc.name)
 		}
 	}
@@ -169,7 +171,7 @@ func TestTraceFingerprint(t *testing.T) {
 	}
 	da, db := dev(), dev()
 	da.Profile, db.Profile = a, b
-	if probe(t, da).full != probe(t, db).full {
+	if probe(t, da).full() != probe(t, db).full() {
 		t.Error("devices on equal traces got different Tier-1 keys")
 	}
 }
@@ -208,6 +210,61 @@ func TestTier1RoundTrip(t *testing.T) {
 	}
 }
 
+// TestTrajectoryReplay: a clean outcome replays for every input of its
+// class with that input's reference prediction, in the engine's BCM
+// discipline; a stale one replays only for its own input. On the BCM
+// golden model, input seed 58 has FFT argmax 3 and time-domain argmax
+// 2, so a replay in the wrong discipline shows.
+func TestTrajectoryReplay(t *testing.T) {
+	m := exectest.Model(t, exectest.BCMArch(), 11)
+	filled, probed := exectest.RandInput(64, 1), exectest.RandInput(64, 58)
+	fft := exec.Argmax(quant.NewExecutor(m).Forward(probed))
+	timeDomain := exec.Argmax(quant.NewTimeExecutor(m).Forward(probed))
+	if fft == timeDomain {
+		t.Fatalf("both disciplines predict %d; the input no longer tells them apart", fft)
+	}
+	device := func(engine string, in []fixed.Q15) Device {
+		d := dev()
+		d.Engine, d.Model, d.Input = engine, m, in
+		return d
+	}
+	clean := fullOutcome()
+	clean.Predicted = 99 // never replayed: the prediction comes from the reference
+	clean.CleanResumes = true
+	for engine, want := range map[string]int{"ace+flex": fft, "ace": fft, "tails": timeDomain} {
+		mm := New(16)
+		mm.Fill(probe(t, device(engine, filled)), clean)
+		got, kind := mm.Lookup(probe(t, device(engine, probed)))
+		if kind != HitFull || got.Predicted != want {
+			t.Errorf("%s: lookup %v predicted %d, want HitFull predicting %d", engine, kind, got.Predicted, want)
+		}
+		got.Predicted = clean.Predicted
+		if got != clean {
+			t.Errorf("%s: replayed %+v, filled %+v", engine, got, clean)
+		}
+		if _, kind := mm.Lookup(probe(t, device(engine, probed[:63]))); kind != Miss {
+			t.Errorf("%s: an input of another length hit the trajectory (%v)", engine, kind)
+		}
+	}
+
+	mm := New(16)
+	dnf := Outcome{Diagnosis: "frozen-progress", Predicted: -1, Boots: 9, CleanResumes: true}
+	mm.Fill(probe(t, device("sonic", filled)), dnf)
+	if got, kind := mm.Lookup(probe(t, device("sonic", probed))); kind != HitFull || got != dnf {
+		t.Errorf("DNF replay = %v %+v, want HitFull %+v", kind, got, dnf)
+	}
+
+	mm = New(16)
+	stale := fullOutcome()
+	mm.Fill(probe(t, device("ace+flex", filled)), stale)
+	if _, kind := mm.Lookup(probe(t, device("ace+flex", probed))); kind != Miss {
+		t.Errorf("a stale-resume outcome replayed for another input (%v)", kind)
+	}
+	if got, kind := mm.Lookup(probe(t, device("ace+flex", filled))); kind != HitFull || got != stale {
+		t.Errorf("stale outcome for its own input = %v %+v, want HitFull %+v", kind, got, stale)
+	}
+}
+
 // TestTier2ComputeHit: a boot-0 completion of a voltage-oblivious
 // engine must serve devices on other waveforms — when, and only when,
 // the run provably fits their single charge.
@@ -227,7 +284,7 @@ func TestTier2ComputeHit(t *testing.T) {
 	want := Outcome{
 		Completed: true, Predicted: 1,
 		ActiveSec: tiny.ActiveSec, WallSec: tiny.ActiveSec, EnergymJ: tiny.EnergymJ,
-		Diagnosis: string(intermittent.DiagCompleted),
+		Diagnosis: string(intermittent.DiagCompleted), CleanResumes: true,
 	}
 	if got != want {
 		t.Fatalf("synthesized outcome:\n%+v\nwant\n%+v", got, want)

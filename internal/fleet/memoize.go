@@ -43,8 +43,8 @@ func runMemoized(s Scenario, m *memo.Memo) Result {
 
 // resultFromOutcome rebuilds a Result row from a cached outcome. The
 // per-device identity (name) and the profile label come from the
-// scenario: equal Tier-1 keys imply the same waveform type, and
-// Tier-2 outcomes carry no profile at all.
+// scenario: equal trajectory and Tier-1 keys imply the same waveform
+// type, and Tier-2 outcomes carry no profile at all.
 func resultFromOutcome(s Scenario, o memo.Outcome) Result {
 	return Result{
 		Name:          s.Name,
@@ -59,6 +59,7 @@ func resultFromOutcome(s Scenario, o memo.Outcome) Result {
 		Diagnosis:     o.Diagnosis,
 		FastForwarded: o.FastForwarded,
 		Err:           o.Err,
+		CleanResumes:  o.CleanResumes,
 	}
 }
 
@@ -75,5 +76,6 @@ func outcomeFromResult(r Result) memo.Outcome {
 		Diagnosis:     r.Diagnosis,
 		FastForwarded: r.FastForwarded,
 		Err:           r.Err,
+		CleanResumes:  r.CleanResumes,
 	}
 }

@@ -3,12 +3,19 @@ package fleet
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
 
+	"ehdl/internal/core"
+	"ehdl/internal/exec"
+	"ehdl/internal/exec/exectest"
+	"ehdl/internal/fixed"
 	"ehdl/internal/fleet/memo"
+	"ehdl/internal/flex"
 	"ehdl/internal/harvest"
+	"ehdl/internal/quant"
 )
 
 // memoFields additionally strips the memo-dependent diagnostics
@@ -68,6 +75,116 @@ func TestMemoBitIdentical(t *testing.T) {
 		if !bytes.Equal(baseBuf.Bytes(), buf.Bytes()) {
 			t.Fatalf("workers=%d: memoized NDJSON differs from unmemoized", workers)
 		}
+	}
+}
+
+// TestMemoStaleResumeRows: ACE+FLEX on the dense model resumes onto
+// overwritten inputs on the smallest capacitors, and then completes
+// with logits off the reference executor's on some inputs (the
+// knownWrongLogits cases of internal/exec). Those runs must not be
+// replayed from the trajectory cache with the reference prediction:
+// over the trajectory test's nine inputs, memo-on rows equal memo-off
+// rows byte for byte. Rows carry the prediction, not the logits, and
+// on the nine inputs the wrong logits keep the reference's argmax, so
+// a tenth input of full-scale signs whose stale resumes flip it on all
+// three supplies makes the rows show a replay that ignores the flag.
+func TestMemoStaleResumeRows(t *testing.T) {
+	m := exectest.Model(t, exectest.DenseArch(), 31)
+	supplies := []struct {
+		name    string
+		capF    float64
+		profile harvest.Profile
+	}{
+		{"const-0.68uF", 0.68e-6, harvest.ConstantProfile{Watts: 4e-4}},
+		{"sine-0.68uF", 0.68e-6, harvest.SineProfile{PeakWatts: 8e-4, Period: 0.05}},
+		{"sine-1.0uF", 1.0e-6, harvest.SineProfile{PeakWatts: 8e-4, Period: 0.05}},
+	}
+	rng := rand.New(rand.NewSource(307))
+	signs := make([]fixed.Q15, 64)
+	for i := range signs {
+		signs[i] = fixed.One
+		if rng.Intn(2) != 0 {
+			signs[i] = fixed.MinusOne
+		}
+	}
+	inputs := append(exectest.TrajectoryInputs(m), exectest.Input{Name: "signs-307", X: signs})
+	ref := quant.NewExecutor(m)
+	var scenarios []Scenario
+	offReference := 0
+	for _, sup := range supplies {
+		cfg := harvest.PaperConfig()
+		cfg.CapacitanceF = sup.capF
+		for _, in := range inputs {
+			s := Scenario{
+				Name:   sup.name + "/" + in.Name,
+				Engine: core.EngineACEFLEX,
+				Model:  m,
+				Input:  in.X,
+				Setup: core.HarvestSetup{Config: cfg, Profile: sup.profile,
+					FlexConfig: &flex.Config{VWarn: 3.0, SampleStride: 2}},
+			}
+			scenarios = append(scenarios, s)
+			if r := runOne(s); r.Completed && r.Predicted != exec.Argmax(ref.Forward(in.X)) {
+				offReference++
+			}
+		}
+	}
+	if offReference == 0 {
+		t.Fatal("no run predicts off the reference; the test no longer exercises stale resumes")
+	}
+	rows := func(workers int, mm *memo.Memo) []byte {
+		var buf bytes.Buffer
+		if _, err := RunStream(SliceSource(scenarios), StreamOptions{Workers: workers, Sink: NewNDJSONSink(&buf), Memo: mm}); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	want := rows(1, nil)
+	for _, workers := range []int{1, 4} {
+		if got := rows(workers, memo.New(0)); !bytes.Equal(got, want) {
+			t.Errorf("workers=%d: memo-on rows differ from memo-off:\n%s\nvs\n%s", workers, got, want)
+		}
+	}
+}
+
+// TestMemoTrajectoryAcrossInputs: devices that differ only in their
+// input share one trajectory class, so the memo simulates the first
+// and replays the rest with each input's reference prediction.
+func TestMemoTrajectoryAcrossInputs(t *testing.T) {
+	m := tinyModel(t)
+	proto := testFleet(t, m)[1] // sonic on a square wave
+	const n = 8
+	scenarios := make([]Scenario, n)
+	for i := range scenarios {
+		scenarios[i] = proto
+		scenarios[i].Name = fmt.Sprintf("input/%d", i)
+		in := make([]fixed.Q15, len(proto.Input))
+		for j := range in {
+			in[j] = fixed.FromFloat(0.11 * float64((i*7+j)%9-4))
+		}
+		scenarios[i].Input = in
+	}
+	want := collectRun(t, scenarios, 1).Results
+	mm := memo.New(0)
+	sink := &orderSink{t: t}
+	rep, err := RunStream(SliceSource(scenarios), StreamOptions{Workers: 1, Memo: mm, Sink: sink})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Memo.Misses != 1 || rep.Memo.FullHits != n-1 {
+		t.Fatalf("stats %+v, want 1 miss and %d full hits", rep.Memo, n-1)
+	}
+	preds := map[int]bool{}
+	for i := range want {
+		got := sink.rows[i]
+		got.Memo = ""
+		if !reflect.DeepEqual(got, want[i]) {
+			t.Fatalf("row %d: replayed %+v, simulated %+v", i, got, want[i])
+		}
+		preds[want[i].Predicted] = true
+	}
+	if len(preds) < 2 {
+		t.Fatalf("every input predicts the same class %v; the replay's prediction is untested", preds)
 	}
 }
 

@@ -739,6 +739,35 @@ func BenchmarkFleetMemoReplay(b *testing.B) {
 	b.ReportMetric(float64(ms1.Mallocs-ms0.Mallocs)/n, "allocs/device")
 }
 
+// BenchmarkLRUGetParallel measures a cache hit in the memo's bounded
+// cache under contention, the read every replayed device makes: 600
+// trajectory-shaped keys (about citywide's entry count), each read
+// from every b.RunParallel goroutine. Reported as ns/op, one hit per
+// op.
+func BenchmarkLRUGetParallel(b *testing.B) {
+	const entries = 600
+	l := memo.NewLRU[memo.Key, any](memo.DefaultCapacity)
+	keys := make([]memo.Key, entries)
+	for k := range keys {
+		keys[k] = memo.Key{Tier: 3, Engine: "ace+flex", InputLen: 784, Harvest: uint64(k) * 0x9e3779b97f4a7c15}
+		keys[k].Model[0] = 0xee
+		l.Add(keys[k], memo.Outcome{Boots: uint64(k)})
+	}
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		k := rand.Intn(entries)
+		for pb.Next() {
+			if _, ok := l.Get(keys[k]); !ok {
+				b.Error("cached key missed")
+				return
+			}
+			if k++; k == entries {
+				k = 0
+			}
+		}
+	})
+}
+
 // BenchmarkFleetMemoFill measures a memo fill, the set-up of the
 // city-warm shape: replayScenario resized to 16,384 devices into a
 // fresh memo each iteration, 2 workers, rows to an NDJSON sink on

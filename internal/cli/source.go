@@ -3,9 +3,12 @@ package cli
 // This file compiles a scenario file into a lazy fleet.Source: every
 // cross-device resource — model artifacts, datasets, converted test
 // inputs, harvest traces — is loaded and validated once up front and
-// then served from a bounded LRU, and individual fleet.Scenarios are
-// built on demand. A million-device fleet costs O(cache capacity)
-// memory to hold, not O(devices) and not O(distinct artifacts):
+// then served from a bounded cache. Each spec's harvest profiles are
+// built once too, one per jitter bin within a document-wide budget,
+// and individual fleet.Scenarios are assembled on demand from these
+// shared parts. A million-device fleet costs O(cache capacity + specs)
+// memory to hold, plus at most binProfileBudget breakpoints of bin
+// profiles, not O(devices) and not O(distinct artifacts):
 // cmd/ehfleet streams scenarios straight from the source into
 // fleet.RunStream. Per-device randomness (the jitter draw) is keyed
 // by (seed, global device index), so expansion is deterministic and
@@ -46,6 +49,11 @@ type compiledSpec struct {
 	modelPath   string                // resolved artifact path (store key)
 	sample      *int                  // explicit test-sample override
 	runner      *intermittent.Runner  // boot-budget overrides (nil = defaults)
+	// profiles holds the immutable profile of each jitter bin, shared
+	// by the bin's devices: one when jitter is 0, jitterSteps of them
+	// when they fit what is left of the document's binProfileBudget,
+	// nil when At builds per device.
+	profiles []harvest.Profile
 }
 
 // FleetSource is a compiled scenario file: a lazy, concurrency-safe
@@ -93,6 +101,7 @@ func CompileFleetSource(sf *ScenarioFile, baseDir string, seed int64, cache *Art
 		seed:    seed,
 		cache:   cache,
 		traces:  map[string]*harvest.TraceProfile{},
+		bins:    binProfileBudget,
 	}
 	src := &FleetSource{seed: seed, cum: []int{0}, cache: cache, memo: sf.Memo}
 	for di := range sf.Devices {
@@ -135,8 +144,11 @@ func (s *FleetSource) Resize(n int) *FleetSource {
 // At implements fleet.Source: it builds scenario i from the compiled
 // specs. The model, dataset and converted inputs come from the
 // bounded artifact store (shared across every device that uses them,
-// reloaded deterministically if evicted); only the per-device profile
-// is constructed here.
+// reloaded deterministically if evicted) and the profile is the
+// device's jitter-bin profile, built once by compile; only a
+// continuously jittered profile, or one whose spec's bins did not fit
+// the document's binProfileBudget, is constructed here, and the device
+// name is the one allocation of an indexed device.
 func (s *FleetSource) At(i int) (fleet.Scenario, error) {
 	if i < 0 || i >= s.n {
 		return fleet.Scenario{}, fmt.Errorf("device %d out of range (fleet has %d)", i, s.n)
@@ -149,7 +161,7 @@ func (s *FleetSource) At(i int) (fleet.Scenario, error) {
 	if err != nil {
 		return fleet.Scenario{}, err
 	}
-	profile, err := s.buildProfile(spec, i)
+	profile, err := s.profile(spec, i)
 	if err != nil {
 		return fleet.Scenario{}, err
 	}
@@ -160,9 +172,9 @@ func (s *FleetSource) At(i int) (fleet.Scenario, error) {
 	name := spec.name
 	switch {
 	case s.n != s.natural:
-		name = spec.name + "/" + strconv.Itoa(i)
+		name = indexedName(spec.name, i)
 	case spec.count > 1:
-		name = spec.name + "/" + strconv.Itoa(base-s.cum[k])
+		name = indexedName(spec.name, base-s.cum[k])
 	}
 	return fleet.Scenario{
 		Name:   name,
@@ -173,13 +185,43 @@ func (s *FleetSource) At(i int) (fleet.Scenario, error) {
 	}, nil
 }
 
-func (s *FleetSource) buildProfile(spec *compiledSpec, i int) (harvest.Profile, error) {
-	scale := quantizedJitterScale(s.seed, i, spec.jitter, spec.jitterSteps)
+// profile returns device i's harvest profile: its jitter bin's shared
+// profile, or one built at its jitter scale when the spec keeps none.
+func (s *FleetSource) profile(spec *compiledSpec, i int) (harvest.Profile, error) {
+	b := 0
+	if spec.jitter != 0 && spec.jitterSteps > 0 {
+		b = jitterBin(unitFloat(s.seed, i), spec.jitterSteps)
+	}
+	if b < len(spec.profiles) {
+		return spec.profiles[b], nil
+	}
+	return spec.buildProfile(quantizedJitterScale(s.seed, i, spec.jitter, spec.jitterSteps))
+}
+
+// buildProfile builds the spec's waveform with its power scaled.
+func (spec *compiledSpec) buildProfile(scale float64) (harvest.Profile, error) {
 	return BuildProfile(spec.prof.Kind,
 		orDefault(spec.prof.PowerW, defaultPowerW),
 		orDefault(spec.prof.Period, defaultPeriod),
 		orDefault(spec.prof.Duty, defaultDuty),
 		spec.trace, scale)
+}
+
+// binProfileBudget bounds the breakpoints that the per-bin profiles of
+// one compiled document hold in all, counting one per value profile
+// and a trace's points per scaled trace (24 bytes a point), so bin
+// profiles cost a document at most a few MB however many specs it
+// has. Specs take from it in document order; citywide.json takes 256,
+// and 32 bins of a 2,048-point trace would take it all. A spec whose
+// bins no longer fit builds each device's profile in At, as continuous
+// jitter does.
+const binProfileBudget = 1 << 16
+
+// indexedName returns prefix/i in one allocation.
+func indexedName(prefix string, i int) string {
+	var buf [64]byte
+	b := append(append(buf[:0], prefix...), '/')
+	return string(strconv.AppendInt(b, int64(i), 10))
 }
 
 // quantizedJitterScale is the deterministic per-device harvest-power
@@ -198,8 +240,21 @@ func quantizedJitterScale(seed int64, i int, jitter float64, steps int) float64 
 	}
 	u := unitFloat(seed, i)
 	if steps > 0 {
-		u = (math.Floor(u*float64(steps)) + 0.5) / float64(steps)
+		return binScale(jitter, steps, jitterBin(u, steps))
 	}
+	return 1 + jitter*(2*u-1)
+}
+
+// jitterBin returns the bin of steps equal-width bins over [0, 1)
+// that the draw u falls in.
+func jitterBin(u float64, steps int) int {
+	return int(math.Floor(u * float64(steps)))
+}
+
+// binScale is the jitter scale of bin b: the draw snapped to the
+// bin's midpoint.
+func binScale(jitter float64, steps, b int) float64 {
+	u := (float64(b) + 0.5) / float64(steps)
 	return 1 + jitter*(2*u-1)
 }
 
@@ -240,16 +295,18 @@ type artifactKey struct {
 	seed int64
 }
 
-// ArtifactCache serves model bundles through a bounded LRU (the memo
-// package's, doing double duty as the ROADMAP's model-store LRU),
-// keyed by (resolved path, seed) so it can be shared across fleet
-// sources — the fleet service keeps one for the whole process.
+// ArtifactCache serves model bundles through a bounded CLOCK cache
+// (the memo package's LRU, doing double duty as the ROADMAP's
+// model-store LRU), keyed by (resolved path, seed) so it can be shared
+// across fleet sources — the fleet service keeps one for the whole
+// process. A hit takes no lock; a miss takes the load mutex, re-checks
+// the cache under it and loads, so racing misses load a bundle once.
 // Reloading an evicted bundle is deterministic — artifacts are
 // immutable files and datasets are generated from the expansion seed
 // — so eviction changes pointer identity, never content: memoization
 // keys on the content digest and sees the same model either way.
 type ArtifactCache struct {
-	mu  sync.Mutex // also serializes loads: misses are rare after warm-up
+	mu  sync.Mutex // serializes loads: misses are rare after warm-up
 	lru *memo.LRU[artifactKey, *modelBundle]
 }
 
@@ -277,10 +334,13 @@ func (a *ArtifactCache) Evictions() uint64 { return a.lru.Evictions() }
 // bundle returns the bundle for the resolved artifact path under
 // seed, loading (or reloading, after eviction) on miss.
 func (a *ArtifactCache) bundle(resolved string, seed int64) (*modelBundle, error) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	key := artifactKey{path: resolved, seed: seed}
 	if b, ok := a.lru.Get(key); ok {
+		return b, nil
+	}
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if b, ok := a.lru.Get(key); ok { // a racing miss loaded it first
 		return b, nil
 	}
 	m, err := LoadModel(resolved)
@@ -309,6 +369,7 @@ type compiler struct {
 	seed    int64
 	cache   *ArtifactCache
 	traces  map[string]*harvest.TraceProfile
+	bins    int // breakpoints left in the document's binProfileBudget
 }
 
 // compile resolves one device spec (with defaults) into its shared,
@@ -384,13 +445,24 @@ func (c *compiler) compile(def, d *DeviceSpec, di int) (compiledSpec, error) {
 		}
 	}
 	// Validate the waveform parameters once, at the unjittered scale;
-	// jitter scales are in (0, 2), which preserves validity.
-	if _, err = BuildProfile(spec.prof.Kind,
-		orDefault(spec.prof.PowerW, defaultPowerW),
-		orDefault(spec.prof.Period, defaultPeriod),
-		orDefault(spec.prof.Duty, defaultDuty),
-		spec.trace, 1); err != nil {
+	// jitter scales are in (0, 2), which preserves validity. That
+	// profile is every device's when jitter is 0; a quantized jitter
+	// whose bins fit the budget's remainder gets them built here.
+	unit, err := spec.buildProfile(1)
+	if err != nil {
 		return spec, err
+	}
+	switch points := profilePoints(unit); {
+	case spec.jitter == 0:
+		spec.profiles = []harvest.Profile{unit}
+	case spec.jitterSteps > 0 && spec.jitterSteps <= c.bins/points:
+		c.bins -= spec.jitterSteps * points
+		spec.profiles = make([]harvest.Profile, spec.jitterSteps)
+		for b := range spec.profiles {
+			if spec.profiles[b], err = spec.buildProfile(binScale(spec.jitter, spec.jitterSteps, b)); err != nil {
+				return spec, err
+			}
+		}
 	}
 
 	if s := pick(d.Sample, def.Sample); s != nil {
@@ -418,6 +490,14 @@ func (c *compiler) compile(def, d *DeviceSpec, di int) (compiledSpec, error) {
 		}
 	}
 	return spec, nil
+}
+
+// profilePoints is what one bin of p costs against binProfileBudget.
+func profilePoints(p harvest.Profile) int {
+	if tr, ok := p.(*harvest.TraceProfile); ok {
+		return tr.Len()
+	}
+	return 1
 }
 
 // trace loads (once) the CSV trace the spec names.

@@ -1,6 +1,9 @@
 package cli
 
 import (
+	"fmt"
+	"math"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -9,6 +12,7 @@ import (
 
 	"ehdl/internal/core"
 	"ehdl/internal/fleet"
+	"ehdl/internal/harvest"
 )
 
 // TestFleetSourceLazyMatchesMaterialized: At(i) must build exactly
@@ -290,5 +294,259 @@ func TestScenarioEngineLists(t *testing.T) {
 		if _, err := compile(bad.engine); err == nil || !strings.Contains(err.Error(), bad.want) {
 			t.Errorf("engine %q compiled (err %v), want an error mentioning %q", bad.engine, err, bad.want)
 		}
+	}
+}
+
+// TestFleetSourceBinProfilesExact: the per-bin profiles At serves are
+// bit for bit the profile BuildProfile makes at the device's own
+// jitter scale, the scale recomputed here with the draw's defining
+// expression. It covers every profile kind under no jitter, continuous
+// jitter, jitter_steps 1, 7 and 32, and a step count past
+// binProfileBudget, on the natural, a cycled and a truncated fleet
+// over several seeds.
+func TestFleetSourceBinProfilesExact(t *testing.T) {
+	dir := t.TempDir()
+	if err := SaveModel(filepath.Join(dir, "m.gob"), testMNISTModel(t, 9)); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "tr.csv"), []byte("0,0.004\n0.05,0.006\n0.1,0.005\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	profiles := []string{
+		`{ "kind": "const", "power_w": 2.5e-3 }`,
+		`{ "kind": "square", "power_w": 5e-3, "period_s": 0.1, "duty": 0.3 }`,
+		`{ "kind": "sine", "power_w": 6e-3, "period_s": 0.2 }`,
+		`{ "kind": "trace", "trace": "tr.csv", "repeat": true }`,
+	}
+	jitters := []string{
+		``,
+		`, "jitter": 0.3`,
+		`, "jitter": 0.3, "jitter_steps": 1`,
+		`, "jitter": 0.25, "jitter_steps": 7`,
+		`, "jitter": 0.2, "jitter_steps": 32`,
+		`, "jitter": 0.3, "jitter_steps": 1048576`,
+	}
+	var specs []string
+	for _, p := range profiles {
+		for _, j := range jitters {
+			specs = append(specs, fmt.Sprintf(`{ "name": "d%d", "count": 37, "profile": %s%s }`, len(specs), p, j))
+		}
+	}
+	path := filepath.Join(dir, "fleet.json")
+	doc := `{ "defaults": { "model": "m.gob", "engine": "sonic" }, "devices": [` + strings.Join(specs, ",\n") + `] }`
+	if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, seed := range []int64{1, 2, 977} {
+		src, err := LoadFleetSource(path, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, spec := range src.specs {
+			want := 0
+			switch {
+			case spec.jitter == 0:
+				want = 1
+			case spec.jitterSteps > 0 && spec.jitterSteps <= 32:
+				want = spec.jitterSteps
+			}
+			if len(spec.profiles) != want {
+				t.Fatalf("spec %d (jitter %v, steps %d): %d bin profiles, want %d",
+					k, spec.jitter, spec.jitterSteps, len(spec.profiles), want)
+			}
+		}
+		for _, fl := range []*FleetSource{src, src.Resize(10240), src.Resize(100)} {
+			for i := 0; i < fl.Len(); i++ {
+				s, err := fl.At(i)
+				if err != nil {
+					t.Fatal(err)
+				}
+				base := i % fl.natural
+				spec := &fl.specs[base/37]
+				want, err := BuildProfile(spec.prof.Kind,
+					orDefault(spec.prof.PowerW, defaultPowerW),
+					orDefault(spec.prof.Period, defaultPeriod),
+					orDefault(spec.prof.Duty, defaultDuty),
+					spec.trace, refJitterScale(seed, i, spec.jitter, spec.jitterSteps))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if msg := profileBitsDiffer(s.Setup.Profile, want); msg != "" {
+					t.Fatalf("seed %d, fleet of %d, device %d (%s): %s", seed, fl.Len(), i, s.Name, msg)
+				}
+			}
+		}
+	}
+}
+
+// refJitterScale is quantizedJitterScale's defining expression,
+// written out independently of the bin helpers.
+func refJitterScale(seed int64, i int, jitter float64, steps int) float64 {
+	if jitter == 0 {
+		return 1
+	}
+	u := unitFloat(seed, i)
+	if steps > 0 {
+		u = (math.Floor(u*float64(steps)) + 0.5) / float64(steps)
+	}
+	return 1 + jitter*(2*u-1)
+}
+
+// profileBitsDiffer describes how got differs from want in type or in
+// any float's bits, or returns "".
+func profileBitsDiffer(got, want harvest.Profile) string {
+	bits := func(vs ...float64) []uint64 {
+		out := make([]uint64, len(vs))
+		for k, v := range vs {
+			out[k] = math.Float64bits(v)
+		}
+		return out
+	}
+	var g, w []uint64
+	switch wp := want.(type) {
+	case harvest.ConstantProfile:
+		gp, ok := got.(harvest.ConstantProfile)
+		if !ok {
+			return fmt.Sprintf("got %T, want %T", got, want)
+		}
+		g, w = bits(gp.Watts), bits(wp.Watts)
+	case harvest.SquareProfile:
+		gp, ok := got.(harvest.SquareProfile)
+		if !ok {
+			return fmt.Sprintf("got %T, want %T", got, want)
+		}
+		g, w = bits(gp.PeakWatts, gp.Period, gp.Duty), bits(wp.PeakWatts, wp.Period, wp.Duty)
+	case harvest.SineProfile:
+		gp, ok := got.(harvest.SineProfile)
+		if !ok {
+			return fmt.Sprintf("got %T, want %T", got, want)
+		}
+		g, w = bits(gp.PeakWatts, gp.Period), bits(wp.PeakWatts, wp.Period)
+	case *harvest.TraceProfile:
+		gp, ok := got.(*harvest.TraceProfile)
+		if !ok {
+			return fmt.Sprintf("got %T, want %T", got, want)
+		}
+		if gp.Fingerprint() != wp.Fingerprint() || gp.Repeats() != wp.Repeats() || gp.Len() != wp.Len() {
+			return fmt.Sprintf("trace fingerprint %x repeat %v len %d, want %x %v %d",
+				gp.Fingerprint(), gp.Repeats(), gp.Len(), wp.Fingerprint(), wp.Repeats(), wp.Len())
+		}
+		g, w = traceBits(gp), traceBits(wp)
+	default:
+		return fmt.Sprintf("unexpected reference profile %T", want)
+	}
+	if !reflect.DeepEqual(g, w) {
+		return fmt.Sprintf("bits %x, want %x", g, w)
+	}
+	return ""
+}
+
+// traceBits lists the bits of each breakpoint time in the first cycle
+// and the power there, walked through NextChange, then the duration
+// and the mean power.
+func traceBits(p *harvest.TraceProfile) []uint64 {
+	var out []uint64
+	for t := 0.0; t < p.Duration(); t = p.NextChange(t) {
+		out = append(out, math.Float64bits(t), math.Float64bits(p.PowerAt(t)))
+	}
+	return append(out, math.Float64bits(p.Duration()), math.Float64bits(p.MeanPower()))
+}
+
+// TestFleetSourceBinBudgetDocumentWide: the bin-profile budget is one
+// count for the whole document, so a document of many specs with large
+// jitter_steps holds at most binProfileBudget breakpoints of bin
+// profiles, and the specs past it still give every device its exact
+// profile.
+func TestFleetSourceBinBudgetDocumentWide(t *testing.T) {
+	dir := t.TempDir()
+	if err := SaveModel(filepath.Join(dir, "m.gob"), testMNISTModel(t, 9)); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "tr.csv"), []byte("0,0.004\n0.05,0.006\n0.1,0.005\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	const specs, steps = 200, 4096
+	devices := make([]string, specs)
+	for k := range devices {
+		devices[k] = `{}`
+		if k%2 == 1 {
+			devices[k] = `{ "profile": { "kind": "trace", "trace": "tr.csv", "repeat": true } }`
+		}
+	}
+	doc := fmt.Sprintf(`{ "defaults": { "model": "m.gob", "engine": "sonic", "jitter": 0.3, "jitter_steps": %d }, "devices": [%s] }`,
+		steps, strings.Join(devices, ","))
+	path := filepath.Join(dir, "fleet.json")
+	if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	src, err := LoadFleetSource(path, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	points, binned := 0, 0
+	for _, spec := range src.specs {
+		for _, p := range spec.profiles {
+			points += profilePoints(p)
+		}
+		if spec.profiles != nil {
+			binned++
+		}
+	}
+	if points > binProfileBudget || binned == 0 || binned == specs {
+		t.Fatalf("%d of %d specs hold %d bin-profile breakpoints, want some but not all within %d",
+			binned, specs, points, binProfileBudget)
+	}
+	for i := 0; i < src.Len(); i++ {
+		s, err := src.At(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec := &src.specs[i]
+		want, err := BuildProfile(spec.prof.Kind,
+			orDefault(spec.prof.PowerW, defaultPowerW),
+			orDefault(spec.prof.Period, defaultPeriod),
+			orDefault(spec.prof.Duty, defaultDuty),
+			spec.trace, refJitterScale(1, i, spec.jitter, spec.jitterSteps))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if msg := profileBitsDiffer(s.Setup.Profile, want); msg != "" {
+			t.Fatalf("device %d (%s): %s", i, s.Name, msg)
+		}
+	}
+}
+
+// TestArtifactCacheConcurrentLoads: racing first requests for one
+// bundle load it once, and every caller, hit or miss, gets that
+// bundle.
+func TestArtifactCacheConcurrentLoads(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "m.gob")
+	if err := SaveModel(path, testMNISTModel(t, 9)); err != nil {
+		t.Fatal(err)
+	}
+	cache := NewArtifactCache(0)
+	got := make([]*modelBundle, 8)
+	errs := make([]error, len(got))
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := 0; k < 50 && errs[g] == nil; k++ {
+				got[g], errs[g] = cache.bundle(path, 1)
+			}
+		}(g)
+	}
+	wg.Wait()
+	for g := range got {
+		if errs[g] != nil {
+			t.Fatal(errs[g])
+		}
+		if got[g] != got[0] {
+			t.Fatal("racing loads returned distinct bundles")
+		}
+	}
+	if cache.Len() != 1 || cache.Evictions() != 0 {
+		t.Fatalf("len %d evictions %d, want one bundle loaded once", cache.Len(), cache.Evictions())
 	}
 }

@@ -1,77 +1,98 @@
 package memo
 
-// A small generic LRU used twice by the fleet layer: internally by
-// Memo to bound the result cache, and by internal/cli to bound the
-// loaded model-artifact store for fleets that mix hundreds of
-// artifacts (the ROADMAP's model-store LRU). It is deliberately
-// simple: one mutex, a doubly-linked recency list, first-writer-wins
-// inserts.
+// A small generic bounded cache used twice by the fleet layer:
+// internally by Memo to bound the result cache, and by internal/cli to
+// bound the loaded model-artifact store for fleets that mix hundreds
+// of artifacts (the ROADMAP's model-store LRU). It approximates LRU
+// with CLOCK (second-chance) eviction, so a hit writes nothing shared
+// but its entry's reference bit: Get is a lock-free sync.Map load plus
+// that bit, and only Add takes the mutex. Inserts are
+// first-writer-wins.
+//
+// The index is a sync.Map rather than a map under a sync.RWMutex
+// because a read lock is itself a shared write: two workers taking it
+// for every replayed device bounce its reader count between their
+// cores, which made a contended hit slower than the mutex it replaced.
 
 import (
-	"container/list"
 	"sync"
+	"sync/atomic"
 )
 
-// LRU is a bounded, concurrency-safe least-recently-used map.
+// LRU is a bounded, concurrency-safe map with CLOCK eviction: entries
+// sit in a ring of at most capacity slots, and a full Add sweeps the
+// hand around the ring, clearing the reference bit of each entry read
+// since the hand last passed it and evicting the first entry whose bit
+// is already clear.
 type LRU[K comparable, V any] struct {
-	mu        sync.Mutex
+	idx       sync.Map   // K -> *clockSlot[K, V]; written only under mu
+	mu        sync.Mutex // serializes Add: the ring, the hand and evictions
 	capacity  int
-	ll        *list.List // front = most recently used
-	idx       map[K]*list.Element
+	ring      []*clockSlot[K, V]
+	hand      int // next slot the sweep inspects
 	evictions uint64
 }
 
-type lruEntry[K comparable, V any] struct {
+// clockSlot is one entry: key and value never change once published,
+// so a reader holding an evicted slot still returns a valid value.
+type clockSlot[K comparable, V any] struct {
 	key K
 	val V
+	ref atomic.Bool // set by Get and by a duplicate Add, cleared by the sweep
 }
 
-// NewLRU returns an LRU holding at most capacity entries (capacity
+// NewLRU returns a cache holding at most capacity entries (capacity
 // < 1 is clamped to 1: a cache that can hold nothing would turn every
 // Add into a silent drop).
 func NewLRU[K comparable, V any](capacity int) *LRU[K, V] {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &LRU[K, V]{
-		capacity: capacity,
-		ll:       list.New(),
-		idx:      make(map[K]*list.Element),
-	}
+	return &LRU[K, V]{capacity: capacity}
 }
 
-// Get returns the value under k, bumping its recency.
+// Get returns the value under k and marks the entry referenced.
 func (l *LRU[K, V]) Get(k K) (V, bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	el, ok := l.idx[k]
+	e, ok := l.idx.Load(k)
 	if !ok {
 		var zero V
 		return zero, false
 	}
-	l.ll.MoveToFront(el)
-	return el.Value.(*lruEntry[K, V]).val, true
+	s := e.(*clockSlot[K, V])
+	if !s.ref.Load() { // a hot entry's bit is already set: skip the store
+		s.ref.Store(true)
+	}
+	return s.val, true
 }
 
 // Add inserts v under k unless the key is already present
 // (first-writer-wins: racing fills keep the first value, so a cached
-// entry never changes once readers may have replayed it). It reports
-// whether the insert happened, evicting the least-recently-used entry
-// when the cache is full.
+// entry never changes once readers may have replayed it; the existing
+// entry is marked referenced instead). It reports whether the insert
+// happened. A full cache evicts the entry the hand settles on.
 func (l *LRU[K, V]) Add(k K, v V) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if el, ok := l.idx[k]; ok {
-		l.ll.MoveToFront(el)
+	if e, ok := l.idx.Load(k); ok {
+		e.(*clockSlot[K, V]).ref.Store(true)
 		return false
 	}
-	l.idx[k] = l.ll.PushFront(&lruEntry[K, V]{key: k, val: v})
-	for l.ll.Len() > l.capacity {
-		oldest := l.ll.Back()
-		l.ll.Remove(oldest)
-		delete(l.idx, oldest.Value.(*lruEntry[K, V]).key)
+	s := &clockSlot[K, V]{key: k, val: v}
+	if len(l.ring) < l.capacity {
+		l.ring = append(l.ring, s)
+	} else {
+		// One revolution clears every bit it passes. Readers may set
+		// them again behind the hand, so after a whole revolution the
+		// hand evicts where it stands, bit or not.
+		for n := 0; n < l.capacity && l.ring[l.hand].ref.Swap(false); n++ {
+			l.hand = (l.hand + 1) % l.capacity
+		}
+		l.idx.Delete(l.ring[l.hand].key)
+		l.ring[l.hand] = s
+		l.hand = (l.hand + 1) % l.capacity
 		l.evictions++
 	}
+	l.idx.Store(k, s)
 	return true
 }
 
@@ -79,7 +100,7 @@ func (l *LRU[K, V]) Add(k K, v V) bool {
 func (l *LRU[K, V]) Len() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.ll.Len()
+	return len(l.ring)
 }
 
 // Capacity returns the configured bound.

@@ -8,7 +8,8 @@
 // function of its harvest setup alone, never of its input: the
 // trajectory tests in internal/exec pin this for every engine. So a
 // row is the trajectory of its class plus the prediction of its input,
-// and the memo caches the two apart. Four kinds of entry share one LRU:
+// and the memo caches the two apart. Four kinds of entry share one
+// bounded cache:
 //
 //   - A trajectory entry keys the outcome, less its prediction, on
 //     (engine, model content digest, input length, harvest
@@ -45,12 +46,15 @@
 // digest is served only when the probed words equal the entry's own
 // copy byte for byte; any mismatch re-hashes. A replay therefore
 // hashes each distinct input once, and a key never depends on callers
-// keeping their inputs unchanged.
+// keeping their inputs unchanged. The cache itself is bounded by CLOCK
+// (second-chance) eviction (see lru.go): a hit is a lock-free load plus
+// the entry's reference bit, so workers replaying in parallel do not
+// serialize on it, and only a fill takes its mutex.
 //
 // Everything served is bit-identical to the unmemoized pipeline:
 // hits replay values produced by a real simulation of an equivalent
 // device or by the reference executor the engines match, racing fills
-// keep the first value, and an LRU miss simply re-simulates (and
+// keep the first value, and an evicted entry simply re-simulates (and
 // re-fills) deterministically. Only the hit/miss counters depend on
 // scheduling.
 package memo

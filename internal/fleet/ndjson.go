@@ -82,12 +82,13 @@ func makeRow(i int, r Result, tagMemo bool) NDJSONRow {
 // rowEncoder appends rows into one reused buffer and writes each with
 // a single Write, byte for byte what json.Encoder.Encode writes.
 type rowEncoder struct {
-	w   io.Writer
-	buf []byte
+	w      io.Writer
+	buf    []byte
+	floats floatCache
 }
 
 func (e *rowEncoder) encode(row *NDJSONRow) error {
-	b, ok := appendRow(e.buf[:0], row)
+	b, ok := appendRow(e.buf[:0], row, &e.floats)
 	if !ok {
 		line, err := json.Marshal(*row)
 		if err != nil {
@@ -100,11 +101,11 @@ func (e *rowEncoder) encode(row *NDJSONRow) error {
 	return err
 }
 
-// appendRow appends row's JSON line to b. ok is false when the row
-// holds a non-finite float (an encoding error) or a string that needs
-// escaping; the caller then encodes the row with encoding/json, so
-// both cases keep its exact bytes and errors.
-func appendRow(b []byte, row *NDJSONRow) (_ []byte, ok bool) {
+// appendRow appends row's JSON line to b, its floats through fc. ok is
+// false when the row holds a non-finite float (an encoding error) or a
+// string that needs escaping; the caller then encodes the row with
+// encoding/json, so both cases keep its exact bytes and errors.
+func appendRow(b []byte, row *NDJSONRow, fc *floatCache) (_ []byte, ok bool) {
 	for _, s := range [...]string{row.Device, row.Engine, row.Profile, row.Diag, row.Err, row.Memo} {
 		if !plainJSON(s) {
 			return b, false
@@ -124,9 +125,9 @@ func appendRow(b []byte, row *NDJSONRow) (_ []byte, ok bool) {
 	b = strconv.AppendBool(append(b, `,"completed":`...), row.Completed)
 	b = strconv.AppendInt(append(b, `,"predicted":`...), int64(row.Predicted), 10)
 	b = strconv.AppendUint(append(b, `,"boots":`...), row.Boots, 10)
-	b = appendFloat(append(b, `,"active_s":`...), row.ActiveSec)
-	b = appendFloat(append(b, `,"wall_s":`...), row.WallSec)
-	b = appendFloat(append(b, `,"energy_mj":`...), row.EnergyMJ)
+	b = fc.append(append(b, `,"active_s":`...), row.ActiveSec)
+	b = fc.append(append(b, `,"wall_s":`...), row.WallSec)
+	b = fc.append(append(b, `,"energy_mj":`...), row.EnergyMJ)
 	if row.Diag != "" {
 		b = appendString(b, `,"diag":`, row.Diag)
 	}
@@ -162,6 +163,46 @@ func appendFloat(b []byte, v float64) []byte {
 		b = b[:n-1]
 	}
 	return b
+}
+
+// floatCache is a direct-mapped cache from a float64's bits to its
+// appendFloat bytes. Fleet rows repeat few distinct values (each
+// harvest class's times and energies), so most floats are a copy
+// instead of a shortest-digits conversion; a slot holds the bytes
+// appendFloat wrote for exactly its bits, so a hit writes the same
+// bytes by construction.
+type floatCache [1 << floatCacheBits]floatSlot
+
+const floatCacheBits = 9 // 512 slots, 20 KB per encoder
+
+// floatSlot holds one cached encoding. n == 0 marks an empty slot: no
+// float encodes to zero bytes. 31 bytes hold every finite float64
+// appendFloat writes (25 at most).
+type floatSlot struct {
+	bits uint64
+	n    uint8
+	b    [31]byte
+}
+
+// append appends the finite v as appendFloat does.
+func (c *floatCache) append(b []byte, v float64) []byte {
+	bits := math.Float64bits(v)
+	s := &c[floatSlotOf(bits)]
+	if s.n != 0 && s.bits == bits {
+		return append(b, s.b[:s.n]...)
+	}
+	start := len(b)
+	b = appendFloat(b, v)
+	if n := len(b) - start; n <= len(s.b) {
+		s.bits, s.n = bits, uint8(copy(s.b[:], b[start:]))
+	}
+	return b
+}
+
+// floatSlotOf maps float bits to a slot: the top bits of a Fibonacci
+// hash, so values differing only in low mantissa bits spread.
+func floatSlotOf(bits uint64) int {
+	return int((bits * 0x9e3779b97f4a7c15) >> (64 - floatCacheBits))
 }
 
 // plainJSON reports whether s encodes as itself between quotes:

@@ -60,8 +60,76 @@ func FuzzNDJSONRow(f *testing.F) {
 		}
 		plain := row
 		plain.Device, plain.Engine, plain.Profile, plain.Diag, plain.Err, plain.Memo = "dev", "ace", "", "", "", ""
-		checkRowEncoding(t, row, plain, row)
+		// The collider overwrites each of row's float cache slots, so
+		// row encodes once after the collision and once from its own
+		// refilled slots.
+		collider := plain
+		collider.ActiveSec, collider.WallSec, collider.EnergyMJ =
+			floatCollider(active), floatCollider(wall), floatCollider(energy)
+		checkRowEncoding(t, row, plain, row, collider, row, row)
 	})
+}
+
+// floatCollider returns a finite float other than v whose bits map to
+// v's float cache slot, found by flipping low bits of v (of v with its
+// exponent cleared, when v is not finite) until the slot matches.
+func floatCollider(v float64) float64 {
+	bits := math.Float64bits(v)
+	base := bits
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		base &^= 0x7ff << 52
+	}
+	for k := uint64(1); ; k++ {
+		if c := base ^ k; floatSlotOf(c) == floatSlotOf(bits) {
+			return math.Float64frombits(c)
+		}
+	}
+}
+
+// TestNDJSONSinkFloatCache streams rows through one NDJSONSink, so
+// every float goes through one encoder's cache, and requires each line
+// to be json.Marshal's bytes plus a newline. The rows repeat values
+// (hits), carry pairs of floats that share a cache slot (each
+// evicting the other), and include the formatting edge cases.
+func TestNDJSONSinkFloatCache(t *testing.T) {
+	values := []float64{
+		math.Copysign(0, -1), 0, 5e-324, -5e-324, 1e-7, 1e21, -1e21, math.Nextafter(1e21, 0),
+		1e-6, math.Nextafter(1e-6, 0), 0.1, 12.5, 0.0123456789, 3.14159, math.MaxFloat64,
+		-0.000001234567890123456, 123456789012345678901,
+	}
+	for _, v := range values[:len(values):len(values)] {
+		values = append(values, floatCollider(v))
+	}
+	if floatSlotOf(math.Float64bits(values[0])) != floatSlotOf(math.Float64bits(values[len(values)/2])) {
+		t.Fatal("collider search returned a float in another slot")
+	}
+	rng := rand.New(rand.NewSource(1))
+	var got bytes.Buffer
+	sink := NewNDJSONSink(&got)
+	var want []byte
+	for i := 0; i < 5000; i++ {
+		r := Result{
+			Name: "dev", Engine: "ace", Completed: true, Predicted: i % 10, Boots: uint64(i % 7),
+			ActiveSec: values[rng.Intn(len(values))],
+			WallSec:   values[rng.Intn(len(values))],
+			EnergymJ:  values[rng.Intn(len(values))],
+		}
+		if i%500 == 0 { // an occasional fresh value, once
+			r.WallSec = rng.NormFloat64()
+		}
+		if err := sink.Consume(i, r); err != nil {
+			t.Fatal(err)
+		}
+		line, err := json.Marshal(makeRow(i, r, false))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(append(want, line...), '\n')
+		if !bytes.Equal(got.Bytes(), want) {
+			t.Fatalf("row %d (%v, %v, %v):\n got %s\nwant %s", i, r.ActiveSec, r.WallSec, r.EnergymJ,
+				got.Bytes()[bytes.LastIndexByte(got.Bytes()[:got.Len()-1], '\n')+1:], line)
+		}
+	}
 }
 
 // TestNDJSONRowRandomFloats: random bit patterns and values around

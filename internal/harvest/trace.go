@@ -178,6 +178,9 @@ func (p *TraceProfile) Fingerprint() uint64 {
 	return fp
 }
 
+// Len returns the number of breakpoints.
+func (p *TraceProfile) Len() int { return len(p.times) }
+
 // Duration returns the trace length in seconds (one cycle when
 // repeating).
 func (p *TraceProfile) Duration() float64 { return p.times[len(p.times)-1] }

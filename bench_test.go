@@ -749,7 +749,9 @@ func BenchmarkLRUGetParallel(b *testing.B) {
 	l := memo.NewLRU[memo.Key, any](memo.DefaultCapacity)
 	keys := make([]memo.Key, entries)
 	for k := range keys {
-		keys[k] = memo.Key{Tier: 3, Engine: "ace+flex", InputLen: 784, Harvest: uint64(k) * 0x9e3779b97f4a7c15}
+		// Code as the memo packs a trajectory key: tier 3, engine
+		// ace+flex (code 5), 784-word inputs.
+		keys[k] = memo.Key{Code: 3<<56 | 5<<48 | 784, Harvest: uint64(k) * 0x9e3779b97f4a7c15}
 		keys[k].Model[0] = 0xee
 		l.Add(keys[k], memo.Outcome{Boots: uint64(k)})
 	}

@@ -1,8 +1,6 @@
 package memo
 
 import (
-	"encoding/binary"
-	"hash/fnv"
 	"math/rand"
 	"sync"
 	"testing"
@@ -152,23 +150,5 @@ func TestInputDigestConcurrent(t *testing.T) {
 	close(errs)
 	for e := range errs {
 		t.Fatal(e)
-	}
-}
-
-// TestFNV64aMatchesHashFNV: the fingerprint's inline FNV-1a gives
-// hash/fnv's New64a values over the same little-endian words.
-func TestFNV64aMatchesHashFNV(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	for n := 0; n < 50; n++ {
-		ref := fnv.New64a()
-		h := fnv64a(fnvOffset64)
-		for k := 0; k < n; k++ {
-			v := rng.Uint64()
-			ref.Write(binary.LittleEndian.AppendUint64(nil, v))
-			h.word(v)
-		}
-		if uint64(h) != ref.Sum64() {
-			t.Fatalf("%d words: %#x, hash/fnv %#x", n, uint64(h), ref.Sum64())
-		}
 	}
 }

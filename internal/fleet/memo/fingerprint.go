@@ -11,10 +11,12 @@ import (
 // harvestFingerprint condenses everything outside the compute stream
 // that shapes an intermittent run — capacitor config, harvest
 // waveform (with any per-device jitter already folded into its power
-// parameters), FLEX policy, and runner limits — into one 64-bit
-// FNV-1a value for the trajectory and Tier-1 keys. Two devices with
-// equal fingerprints (and equal engine, model and input length) run
-// the same trajectory.
+// parameters), FLEX policy, and runner limits — into one 64-bit value
+// for the trajectory and Tier-1 keys. Two devices with equal
+// fingerprints (and equal engine, model and input length) run the
+// same trajectory. Floats enter as their bits, so +0 and −0 differ
+// and a NaN is as stable as any other value. The value lives only in
+// the process's memo and is never persisted.
 //
 // ok is false for any profile outside the capacitor's closed set (the
 // value profiles and *TraceProfile): harvest.NewCapacitor rejects it,
@@ -23,78 +25,73 @@ import (
 // false hit is the one failure mode the memo must never have,
 // so such profiles bypass memoization entirely.
 func harvestFingerprint(cfg harvest.Config, p harvest.Profile, fx *flex.Config, r *intermittent.Runner) (uint64, bool) {
-	h := fnv64a(fnvOffset64)
-	u := h.word
-	f := func(v float64) { u(math.Float64bits(v)) }
-	b := func(v bool) {
-		if v {
-			u(1)
-		} else {
-			u(0)
-		}
-	}
-
-	f(cfg.CapacitanceF)
-	f(cfg.VOn)
-	f(cfg.VOff)
-	f(cfg.VMax)
-	f(cfg.LeakageW)
+	h := fingerprint(fingerprintSeed)
+	h.float(cfg.CapacitanceF)
+	h.float(cfg.VOn)
+	h.float(cfg.VOff)
+	h.float(cfg.VMax)
+	h.float(cfg.LeakageW)
 
 	switch pp := p.(type) {
 	case harvest.ConstantProfile:
-		u(1)
-		f(pp.Watts)
+		h.word(1)
+		h.float(pp.Watts)
 	case harvest.SquareProfile:
-		u(2)
-		f(pp.PeakWatts)
-		f(pp.Period)
-		f(pp.Duty)
+		h.word(2)
+		h.float(pp.PeakWatts)
+		h.float(pp.Period)
+		h.float(pp.Duty)
 	case harvest.SineProfile:
-		u(3)
-		f(pp.PeakWatts)
-		f(pp.Period)
+		h.word(3)
+		h.float(pp.PeakWatts)
+		h.float(pp.Period)
 	case *harvest.TraceProfile:
 		if pp == nil {
 			return 0, false
 		}
-		u(4)
-		u(pp.Fingerprint())
+		h.word(4)
+		h.word(pp.Fingerprint())
 	default:
 		return 0, false
 	}
 
 	if fx == nil {
-		u(0)
+		h.word(0)
 	} else {
-		u(1)
-		f(fx.VWarn)
-		u(uint64(fx.SampleStride))
+		h.word(1)
+		h.float(fx.VWarn)
+		h.word(uint64(fx.SampleStride))
 	}
 	if r == nil {
-		u(0)
+		h.word(0)
 	} else {
-		u(1)
-		u(r.MaxBoots)
-		u(uint64(r.StagnationLimit))
-		b(r.NoFastForward)
-		u(uint64(r.LedgerDepth))
+		h.word(1)
+		h.word(r.MaxBoots)
+		h.word(uint64(r.StagnationLimit))
+		if r.NoFastForward {
+			h.word(1)
+		} else {
+			h.word(0)
+		}
+		h.word(uint64(r.LedgerDepth))
 	}
 	return uint64(h), true
 }
 
-// fnv64a is FNV-1a over 64 bits (hash/fnv's New64a) as a value, so
-// the fingerprint allocates nothing.
-type fnv64a uint64
+// fingerprint mixes a stream of 64-bit words one word per step: xor
+// the word in, multiply by an odd constant, xor-shift. Each step is a
+// bijection of the state, so two streams of equal length that differ
+// in a single word always end in different states.
+type fingerprint uint64
 
 const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
+	fingerprintSeed = 0x6a09e667f3bcc909 // the fractional bits of √2
+	fingerprintMul  = 0x9e3779b97f4a7c15 // 2⁶⁴/φ, odd
 )
 
-// word hashes v as its 8 little-endian bytes.
-func (h *fnv64a) word(v uint64) {
-	for k := 0; k < 64; k += 8 {
-		*h ^= fnv64a(byte(v >> k))
-		*h *= fnvPrime64
-	}
+func (h *fingerprint) word(v uint64) {
+	x := (uint64(*h) ^ v) * fingerprintMul
+	*h = fingerprint(x ^ x>>32)
 }
+
+func (h *fingerprint) float(v float64) { h.word(math.Float64bits(v)) }

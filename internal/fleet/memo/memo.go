@@ -39,17 +39,21 @@
 //     exactly the cached compute stream, whatever its waveform or
 //     jitter.
 //
-// A probe costs a copy, not a hash: the model digest is cached on the
-// model, the harvest fingerprint is an allocation-free FNV-1a, and
-// the input digest comes from a small bounded cache keyed by the
+// A probe costs a copy and one word-wise mix, and a hit one hash per
+// cache read: the model digest is cached on the model, the harvest
+// fingerprint mixes each 64-bit word of the harvest setup in one step,
+// and the input digest comes from a small bounded cache keyed by the
 // input slice's address and length (see digest.go). A cached input
 // digest is served only when the probed words equal the entry's own
 // copy byte for byte; any mismatch re-hashes. A replay therefore
 // hashes each distinct input once, and a key never depends on callers
-// keeping their inputs unchanged. The cache itself is bounded by CLOCK
-// (second-chance) eviction (see lru.go): a hit is a lock-free load plus
-// the entry's reference bit, so workers replaying in parallel do not
-// serialize on it, and only a fill takes its mutex.
+// keeping their inputs unchanged. A Key is 80 bytes of plain memory,
+// so the cache hashes and compares it as one block, and a probe can
+// live on the caller's stack (Probe.Reset), so a hit allocates
+// nothing. The cache itself is bounded by CLOCK (second-chance)
+// eviction (see lru.go): a hit is a lock-free load plus the entry's
+// reference bit, so workers replaying in parallel do not serialize on
+// it, and only a fill takes its mutex.
 //
 // Everything served is bit-identical to the unmemoized pipeline:
 // hits replay values produced by a real simulation of an equivalent
@@ -73,7 +77,9 @@ import (
 )
 
 // DefaultCapacity bounds the memo when the caller does not choose a
-// size: 64k entries of ~150 B is a ~10 MB ceiling. A scenario-grid
+// size. An outcome entry holds ~420 B of heap (its 80-byte key twice,
+// in the ring slot and the index, the outcome, and the index's own
+// node), so 64k entries is a ~27 MB ceiling. A scenario-grid
 // fleet needs one trajectory entry per harvest class, one prediction
 // per (discipline, model, input), and input-keyed entries only for its
 // stale-resume classes (one per class and input): citywide, for one,
@@ -89,18 +95,57 @@ const (
 	tierPrediction
 )
 
-// Key is the content address of one cache entry. Each tier sets the
-// fields it keys on and leaves the rest zero: compute keys have no
-// harvest fingerprint, trajectory keys no input digest, and prediction
-// keys hold the BCM discipline in Engine.
+// Key is the content address of one cache entry. It is 80 bytes of
+// plain memory, with no string, pointer or padding, so the cache's
+// map hashes and compares it as one block. Each tier sets the fields
+// it keys on and leaves the rest zero: compute keys have no harvest
+// fingerprint, trajectory keys no input digest, and prediction keys
+// neither fingerprint nor engine. Code packs the tier, the engine
+// (the BCM discipline, for a prediction key) and a trajectory key's
+// input length; see keyCode.
 type Key struct {
-	Tier     uint8
-	Engine   string
-	Model    [32]byte
-	Input    [32]byte
-	InputLen int
-	Harvest  uint64
+	Model   [32]byte
+	Input   [32]byte
+	Harvest uint64
+	Code    uint64
 }
+
+// The layout of Key.Code: the tier in the top byte, the engine or
+// discipline code in the next, and the input length in the low 48
+// bits. A longer input than maxInputLen cannot be coded, so its device
+// bypasses the memo.
+const (
+	codeTierShift   = 56
+	codeEngineShift = 48
+	maxInputLen     = 1<<codeEngineShift - 1
+)
+
+// keyCode packs a Key's Code. inputLen must lie in [0, maxInputLen].
+func keyCode(tier, engine uint8, inputLen int) uint64 {
+	return uint64(tier)<<codeTierShift | uint64(engine)<<codeEngineShift | uint64(inputLen)
+}
+
+// engines lists the engines a key can name: an engine's code is its
+// index here plus one.
+var engines = core.AllEngines()
+
+// engineCode returns the key code of engine, and false for an engine
+// outside core.AllEngines.
+func engineCode(engine string) (uint8, bool) {
+	for k, e := range engines {
+		if string(e) == engine {
+			return uint8(k + 1), true
+		}
+	}
+	return 0, false
+}
+
+// The BCM disciplines, the engine codes of prediction keys: the
+// time-domain arithmetic of the baselines and ACE's FFT pipeline.
+const (
+	disciplineTime uint8 = iota + 1
+	disciplineFFT
+)
 
 // Outcome is a cached row: everything the fleet's aggregator and
 // NDJSON sink consume, minus the per-device name.
@@ -146,55 +191,75 @@ type Device struct {
 	Runner           *intermittent.Runner
 }
 
-// Probe is a prepared lookup: the device plus its content digests.
+// Probe is a prepared lookup: the device plus its content digests and
+// engine code.
 type Probe struct {
 	dev     Device
 	model   [32]byte
 	input   [32]byte
 	harvest uint64
+	engine  uint8
 }
 
-// NewProbe builds the content keys for d. ok is false when the device
-// cannot be addressed — no model, no profile, or a profile type the
-// fingerprint does not know (a custom Profile implementation could
-// carry state the fingerprint would miss, so it bypasses the memo
-// entirely rather than risk a false hit).
+// NewProbe builds the content keys for d in a new Probe. ok is false
+// when the device cannot be addressed (see Reset).
 func NewProbe(d Device) (*Probe, bool) {
-	if d.Model == nil || d.Profile == nil {
+	p := new(Probe)
+	if !p.Reset(d) {
 		return nil, false
+	}
+	return p, true
+}
+
+// Reset builds the content keys for d in place, so a caller can keep
+// its probe on the stack. It reports false, leaving p unusable, when
+// the device cannot be addressed: no model, no profile, an engine
+// outside core.AllEngines (the key has no code for it), an input
+// longer than a key can count, or a profile type the fingerprint does
+// not know (a custom Profile implementation could carry state the
+// fingerprint would miss). Such a device bypasses the memo entirely
+// rather than risk a false hit.
+func (p *Probe) Reset(d Device) bool {
+	if d.Model == nil || d.Profile == nil || uint64(len(d.Input)) > maxInputLen {
+		return false
+	}
+	engine, ok := engineCode(d.Engine)
+	if !ok {
+		return false
 	}
 	hfp, ok := harvestFingerprint(d.Config, d.Profile, d.Flex, d.Runner)
 	if !ok {
-		return nil, false
+		return false
 	}
-	return &Probe{dev: d, model: d.Model.ContentDigest(), input: inputDigest(d.Input), harvest: hfp}, true
+	*p = Probe{dev: d, model: d.Model.ContentDigest(), input: inputDigest(d.Input), harvest: hfp, engine: engine}
+	return true
 }
 
 func (p *Probe) full() Key {
-	return Key{Tier: tierFull, Engine: p.dev.Engine, Model: p.model, Input: p.input, Harvest: p.harvest}
+	return Key{Code: keyCode(tierFull, p.engine, 0), Model: p.model, Input: p.input, Harvest: p.harvest}
 }
 
 func (p *Probe) computK() Key {
-	return Key{Tier: tierCompute, Engine: p.dev.Engine, Model: p.model, Input: p.input}
+	return Key{Code: keyCode(tierCompute, p.engine, 0), Model: p.model, Input: p.input}
 }
 
 func (p *Probe) trajectory() Key {
-	return Key{Tier: tierTrajectory, Engine: p.dev.Engine, Model: p.model, InputLen: len(p.dev.Input), Harvest: p.harvest}
+	return Key{Code: keyCode(tierTrajectory, p.engine, len(p.dev.Input)), Model: p.model, Harvest: p.harvest}
 }
 
 func (p *Probe) prediction() Key {
-	return Key{Tier: tierPrediction, Engine: discipline(p.dev.Engine), Model: p.model, Input: p.input}
+	return Key{Code: keyCode(tierPrediction, p.discipline(), 0), Model: p.model, Input: p.input}
 }
 
-// discipline names the BCM arithmetic an engine computes with, and so
-// the host reference executor its logits match: ACE's FFT pipeline or
-// the baselines' time domain.
-func discipline(engine string) string {
-	switch core.EngineKind(engine) {
+// discipline returns the BCM arithmetic p's engine computes with, and
+// so the host reference executor its logits match: ACE's FFT pipeline
+// or the baselines' time domain.
+func (p *Probe) discipline() uint8 {
+	switch engines[p.engine-1] {
 	case core.EngineACE, core.EngineACEFLEX:
-		return "fft"
+		return disciplineFFT
 	}
-	return "time"
+	return disciplineTime
 }
 
 // HitKind labels how a lookup resolved.
@@ -311,7 +376,7 @@ func (m *Memo) predict(p *Probe) int {
 		return v.(int)
 	}
 	ref := quant.NewTimeExecutor
-	if k.Engine == "fft" {
+	if p.discipline() == disciplineFFT {
 		ref = quant.NewExecutor
 	}
 	pred := exec.Argmax(ref(p.dev.Model).Forward(p.dev.Input))

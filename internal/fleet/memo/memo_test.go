@@ -88,25 +88,35 @@ func probe(t *testing.T, d Device) *Probe {
 }
 
 func TestProbeRejectsUnaddressable(t *testing.T) {
-	d := dev()
-	d.Model = nil
-	if _, ok := NewProbe(d); ok {
-		t.Error("probe accepted a nil model")
+	rejected := map[string]func(*Device){
+		"nil model":   func(d *Device) { d.Model = nil },
+		"nil profile": func(d *Device) { d.Profile = nil },
+		// The capacitor rejects a pointer profile: keying it risks a false hit.
+		"pointer profile": func(d *Device) {
+			d.Profile = &harvest.SquareProfile{PeakWatts: 5e-3, Period: 0.1, Duty: 0.5}
+		},
+		"nil trace": func(d *Device) { d.Profile = (*harvest.TraceProfile)(nil) },
+		// An engine outside core.AllEngines has no key code.
+		"empty engine":    func(d *Device) { d.Engine = "" },
+		"unknown engine":  func(d *Device) { d.Engine = "warp" },
+		"engine case":     func(d *Device) { d.Engine = "ACE" },
+		"engine trailing": func(d *Device) { d.Engine = "ace+flex " },
 	}
-	d = dev()
-	d.Profile = nil
-	if _, ok := NewProbe(d); ok {
-		t.Error("probe accepted a nil profile")
+	for name, mut := range rejected {
+		d := dev()
+		mut(&d)
+		if _, ok := NewProbe(d); ok {
+			t.Errorf("NewProbe accepted a device with a %s", name)
+		}
+		var p Probe
+		if p.Reset(d) {
+			t.Errorf("Reset accepted a device with a %s", name)
+		}
 	}
-	d = dev()
-	d.Profile = &harvest.SquareProfile{PeakWatts: 5e-3, Period: 0.1, Duty: 0.5}
-	if _, ok := NewProbe(d); ok {
-		t.Error("probe accepted a pointer profile, which the capacitor rejects (false-hit risk)")
-	}
-	d = dev()
-	d.Profile = (*harvest.TraceProfile)(nil)
-	if _, ok := NewProbe(d); ok {
-		t.Error("probe accepted a nil trace")
+	var p Probe
+	want := probe(t, dev())
+	if !p.Reset(dev()) || p.full() != want.full() || p.trajectory() != want.trajectory() || p.prediction() != want.prediction() {
+		t.Error("Reset and NewProbe build different keys")
 	}
 }
 

@@ -13,10 +13,13 @@ import (
 
 // runMemoized executes one scenario through the memo: replay on a
 // hit, simulate-and-fill on a miss. Scenarios the memo cannot
-// content-address (no model, unknown profile type) simulate directly
-// with an empty Memo tag, exactly as if the memo were off.
+// content-address (no model, unknown profile type, an engine outside
+// core.AllEngines) simulate directly with an empty Memo tag, exactly
+// as if the memo were off. The probe lives on this frame, so a hit
+// allocates nothing.
 func runMemoized(s Scenario, m *memo.Memo) Result {
-	probe, ok := memo.NewProbe(memo.Device{
+	var probe memo.Probe
+	if !probe.Reset(memo.Device{
 		Engine:           string(s.Engine),
 		VoltageOblivious: core.VoltageOblivious(s.Engine),
 		Model:            s.Model,
@@ -25,18 +28,17 @@ func runMemoized(s Scenario, m *memo.Memo) Result {
 		Profile:          s.Setup.Profile,
 		Flex:             s.Setup.FlexConfig,
 		Runner:           s.Setup.Runner,
-	})
-	if !ok {
+	}) {
 		return runOne(s)
 	}
-	out, kind := m.Lookup(probe)
+	out, kind := m.Lookup(&probe)
 	if kind != memo.Miss {
 		r := resultFromOutcome(s, out)
 		r.Memo = kind.String()
 		return r
 	}
 	r := runOne(s)
-	m.Fill(probe, outcomeFromResult(r))
+	m.Fill(&probe, outcomeFromResult(r))
 	r.Memo = kind.String()
 	return r
 }

@@ -220,6 +220,85 @@ func TestMemoPointerProfileIsSetupError(t *testing.T) {
 	}
 }
 
+// TestMemoUnknownEngineBypasses: a key has no code for an engine
+// outside core.AllEngines, so its devices bypass the memo: memo-on
+// rows equal memo-off rows byte for byte, two different unknown
+// engines both run for real (neither fills nor replays the other's
+// row), and a tagged sink leaves their rows untagged, as it does for
+// every device the memo cannot address.
+func TestMemoUnknownEngineBypasses(t *testing.T) {
+	m := tinyModel(t)
+	known := testFleet(t, m)[1] // sonic on a square wave
+	var scenarios []Scenario
+	for i, engine := range []core.EngineKind{"warp", "zoom", "warp", "zoom"} {
+		s := known
+		s.Name, s.Engine = fmt.Sprintf("unknown/%d", i), engine
+		scenarios = append(scenarios, s)
+	}
+	scenarios = append(scenarios, known)
+
+	rows := func(mm *memo.Memo, tag bool) (Report, []byte) {
+		var buf bytes.Buffer
+		sink := NewNDJSONSink(&buf)
+		sink.TagMemo = tag
+		rep, err := RunStream(SliceSource(scenarios), StreamOptions{Workers: 1, Sink: sink, Memo: mm})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep, buf.Bytes()
+	}
+	_, off := rows(nil, false)
+	rep, on := rows(memo.New(0), false)
+	if !bytes.Equal(off, on) {
+		t.Fatalf("memo-on rows differ from memo-off:\n%s\nvs\n%s", on, off)
+	}
+	for _, engine := range []string{"warp", "zoom"} {
+		if n := strings.Count(string(on), fmt.Sprintf(`unknown engine \"%s\"`, engine)); n != 2 {
+			t.Errorf("%d rows report engine %s unknown, want 2", n, engine)
+		}
+	}
+	if s := rep.Memo; s.Misses != 1 || s.Hits() != 0 || s.Entries == 0 || s.Fills != uint64(s.Entries) {
+		t.Errorf("stats %+v: want the one known device alone to miss and fill", s)
+	}
+
+	_, tagged := rows(memo.New(0), true)
+	lines := strings.Split(strings.TrimSpace(string(tagged)), "\n")
+	for _, line := range lines[:4] {
+		if strings.Contains(line, `"memo"`) {
+			t.Errorf("unaddressable device's row tagged: %s", line)
+		}
+	}
+	if !strings.Contains(lines[4], `"memo":"miss"`) {
+		t.Errorf("known device's row not tagged miss: %s", lines[4])
+	}
+}
+
+// TestMemoHitAllocatesNothing: replaying a device from a filled memo —
+// probe, lookup and row — makes no heap allocation, whether it hits
+// its class's trajectory, an input-keyed outcome or the compute tier.
+func TestMemoHitAllocatesNothing(t *testing.T) {
+	m := tinyModel(t)
+	all := testFleet(t, m)
+	mm := memo.New(0)
+	for _, s := range all {
+		runMemoized(s, mm)
+	}
+	kinds := map[string]bool{}
+	for _, s := range all {
+		r := runMemoized(s, mm)
+		if r.Memo == memo.Miss.String() {
+			t.Fatalf("%s missed a filled memo", s.Name)
+		}
+		kinds[r.Memo] = true
+		if a := testing.AllocsPerRun(50, func() { r = runMemoized(s, mm) }); a != 0 {
+			t.Errorf("%s (%s): a replay allocates %v times, want 0", s.Name, r.Memo, a)
+		}
+	}
+	if !kinds[memo.HitFull.String()] || !kinds[memo.HitCompute.String()] {
+		t.Fatalf("replays covered only %v", kinds)
+	}
+}
+
 // TestMemoHitCounters: with one worker the schedule is sequential, so
 // the counter split is exact — a fleet of identical devices is one
 // miss and N-1 full hits.

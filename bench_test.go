@@ -26,7 +26,6 @@ import (
 	"ehdl/internal/fleet"
 	"ehdl/internal/fleet/memo"
 	"ehdl/internal/harvest"
-	"ehdl/internal/intermittent"
 	"ehdl/internal/nn"
 	"ehdl/internal/quant"
 )
@@ -390,64 +389,6 @@ func BenchmarkCapacitorDraw(b *testing.B) {
 			}
 		})
 	}
-}
-
-// ffChunkProgram is a Skippable checkpointing workload for the
-// fast-forward benchmark: fixed-cost chunks committed through an
-// NVWord, with the steady-state homogeneity the runner's analytic
-// fast-forward proves and exploits.
-type ffChunkProgram struct {
-	pos         device.NVWord
-	totalChunks uint64
-	chunkOps    int
-}
-
-func (p *ffChunkProgram) Boot(d *device.Device) error {
-	for {
-		i := p.pos.Read(d, device.CatRestore)
-		if i >= p.totalChunks {
-			return nil
-		}
-		d.CPUOps(p.chunkOps)
-		p.pos.Write(d, device.CatCheckpoint, i+1)
-	}
-}
-
-func (p *ffChunkProgram) Progress() uint64       { return p.pos.Peek() }
-func (p *ffChunkProgram) ProgressTarget() uint64 { return p.totalChunks }
-func (p *ffChunkProgram) SkipBoots(k, delta uint64) {
-	p.pos.Poke(p.pos.Peek() + k*delta)
-}
-
-// BenchmarkIntermittentFastForward measures the runner's analytic
-// fast-forward on a ~2800-boot slow-harvest run (0.5 mW constant
-// source, paper capacitor): the fast-forward sub-benchmark proves the
-// supply fixed point after a couple of boots and jumps the rest in
-// closed form, the boot-by-boot sub-benchmark simulates every boot
-// with the identical result (pinned by TestFastForwardBitIdentical).
-// The ns/op ratio between the two is the headline — ≥100× on this
-// shape — and the boots/ff-boots metrics show what was skipped.
-func BenchmarkIntermittentFastForward(b *testing.B) {
-	run := func(b *testing.B, noFF bool) {
-		b.Helper()
-		var res intermittent.Result
-		for i := 0; i < b.N; i++ {
-			c, err := harvest.NewCapacitor(harvest.PaperConfig(), harvest.ConstantProfile{Watts: 5e-4})
-			if err != nil {
-				b.Fatal(err)
-			}
-			d := device.New(device.DefaultCosts(), c)
-			p := &ffChunkProgram{totalChunks: 600000, chunkOps: 1000}
-			res = (&intermittent.Runner{MaxBoots: 100000, NoFastForward: noFF}).Run(d, p)
-			if !res.Completed {
-				b.Fatalf("did not complete: %+v", res)
-			}
-		}
-		b.ReportMetric(float64(res.Boots), "boots")
-		b.ReportMetric(float64(res.Diagnosis.FastForwarded), "ff-boots")
-	}
-	b.Run("fast-forward", func(b *testing.B) { run(b, false) })
-	b.Run("boot-by-boot", func(b *testing.B) { run(b, true) })
 }
 
 // BenchmarkFleet measures the fleet layer: a 32-device deployment of

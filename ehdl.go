@@ -108,8 +108,7 @@ type Report = exec.Report
 
 // BootDiagnosis explains why an intermittent run completed or DNF'd:
 // the verdict kind (frozen progress, no persistent writes, boot
-// limit, ...), the evidence window behind it, and how many boots the
-// analytic fast-forward skipped.
+// limit, ...) and the evidence window behind it.
 type BootDiagnosis = intermittent.Diagnosis
 
 // BootRecord is one entry of the intermittent runner's per-boot

@@ -65,11 +65,9 @@ func (Continuous) Recharge() (float64, bool) { return 0, true }
 // Accounting is grouped by boot: charges accumulate in per-boot
 // counters that fold into the lifetime totals at each Reboot (and are
 // summed on the fly by Stats). The grouping is what makes the
-// intermittent runner's boot ledger exact — two boots executing the
+// intermittent runner's boot ledger exact: two boots executing the
 // same op sequence produce bit-identical per-boot deltas regardless of
-// how much history precedes them — and what lets ReplayBoots jump the
-// stats across thousands of identical boots with results bit-identical
-// to simulating each one.
+// how much history precedes them.
 type Device struct {
 	Costs  Costs
 	supply Supply
@@ -124,8 +122,8 @@ func (d *Device) Consume(cat Category, cycles uint64, nJ float64) {
 }
 
 // Supply returns the power supply the device draws from — the
-// intermittent runner uses it to interrogate harvest.Capacitor for
-// steady-cycle fixed points.
+// intermittent runner reads harvest.Capacitor's cycle token and
+// per-cycle harvest from it for the boot ledger.
 func (d *Device) Supply() Supply { return d.supply }
 
 // FNV-1a parameters for the persistent-write ledger hash.
@@ -190,7 +188,7 @@ func (d *Device) noteNVWords(offset int, vals []fixed.Q15) {
 // Per-boot deltas are accumulated from zero each boot, so two boots
 // executing the same charged op sequence report bit-identical
 // BootStats — the exactness the intermittent runner's DNF verdicts
-// and analytic fast-forward are built on.
+// are built on.
 type BootStats struct {
 	Cycles   uint64
 	Energy   [NumCategories]float64 // nJ
@@ -245,25 +243,6 @@ func (d *Device) sealBoot() {
 // the per-cycle off-time the intermittent runner records in its boot
 // ledger.
 func (d *Device) LastOffSeconds() float64 { return d.lastOffSeconds }
-
-// ReplayBoots advances the accounting by k boot cycles that each
-// repeat exactly the per-boot deltas bs followed by a recharge of
-// offSec — the stat jump behind the intermittent runner's analytic
-// fast-forward. It must be called at a boot boundary (right after a
-// Reboot, before the next boot charges anything); the folds are
-// applied one boot at a time, so the resulting totals are bit-identical
-// to simulating k boots that each produce bs and offSec.
-func (d *Device) ReplayBoots(k uint64, bs BootStats, offSec float64) {
-	for i := uint64(0); i < k; i++ {
-		d.cycles += bs.Cycles
-		for c := range d.energy {
-			d.energy[c] += bs.Energy[c]
-		}
-		d.nvWrites += bs.NVWrites
-		d.offSeconds += offSec
-		d.boots++
-	}
-}
 
 // Voltage samples the supply rail WITHOUT charging the ADC cost; use
 // MonitorSample for a charged sample.

@@ -36,11 +36,6 @@ func (w *NVWord) Write(d *Device, cat Category, v uint64) {
 // and post-run report generation only.
 func (w *NVWord) Peek() uint64 { return w.v }
 
-// Poke sets the value without charging or logging — for host-side
-// setup and intermittent.Skippable SkipBoots appliers, whose charges
-// the runner replays on the boot ledger instead.
-func (w *NVWord) Poke(v uint64) { w.v = v }
-
 // NVQ15 is a persistent Q15 buffer (weights, staged activations).
 type NVQ15 struct {
 	data []fixed.Q15

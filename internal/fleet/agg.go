@@ -70,7 +70,6 @@ type Agg struct {
 	completed int
 	errors    int
 	boots     uint64
-	ffBoots   uint64
 
 	// exact holds every observed wall time while the aggregate is
 	// below threshold; nil after spilling into hist.
@@ -108,7 +107,6 @@ func (a *Agg) Observe(r Result) {
 		a.errors++
 	}
 	a.boots += r.Boots
-	a.ffBoots += r.FastForwarded
 	group(a.engines, string(r.Engine)).observe(r)
 	group(a.profiles, r.Profile).observe(r)
 	if r.Diagnosis != "" {
@@ -201,7 +199,6 @@ func (a *Agg) Merge(b *Agg) {
 	a.completed += b.completed
 	a.errors += b.errors
 	a.boots += b.boots
-	a.ffBoots += b.ffBoots
 	mergeGroups(a.engines, b.engines)
 	mergeGroups(a.profiles, b.profiles)
 	for k, n := range b.diagnoses {
@@ -228,15 +225,14 @@ func (a *Agg) Merge(b *Agg) {
 // so Report is not idempotent with further Observe calls.
 func (a *Agg) Report() Report {
 	rep := Report{
-		Devices:            a.devices,
-		Completed:          a.completed,
-		Errors:             a.errors,
-		TotalBoots:         a.boots,
-		FastForwardedBoots: a.ffBoots,
-		PercentilesExact:   a.hist == nil,
-		Engines:            map[string]GroupStats{},
-		Profiles:           map[string]GroupStats{},
-		Diagnoses:          map[string]int{},
+		Devices:          a.devices,
+		Completed:        a.completed,
+		Errors:           a.errors,
+		TotalBoots:       a.boots,
+		PercentilesExact: a.hist == nil,
+		Engines:          map[string]GroupStats{},
+		Profiles:         map[string]GroupStats{},
+		Diagnoses:        map[string]int{},
 	}
 	for k, g := range a.engines {
 		rep.Engines[k] = *g

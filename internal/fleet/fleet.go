@@ -56,8 +56,7 @@ type Result struct {
 	// "frozen-progress", "boot-limit", ...) or "setup-error" when the
 	// scenario never ran; see intermittent.DiagnosisKind.
 	Diagnosis string
-	// FastForwarded counts boots the runner skipped analytically
-	// (included in Boots).
+	// Deprecated: always 0; bench/ still reads it (ROADMAP item 2)
 	FastForwarded uint64
 	// Err is the intermittent sentinel on a DNF, or a setup error.
 	Err error
@@ -108,10 +107,6 @@ type Report struct {
 	Profiles  map[string]GroupStats
 	Diagnoses map[string]int
 
-	// FastForwardedBoots totals the boots the intermittent runner
-	// skipped analytically across the fleet (included in TotalBoots).
-	FastForwardedBoots uint64
-
 	// Memo holds the inference memo's counters when the run was
 	// memoized (nil otherwise). The hit/miss split is scheduling-
 	// dependent — see memo.Stats — but hits+misses always equals the
@@ -148,7 +143,6 @@ func runOne(s Scenario) Result {
 	res.WallSec = rep.Stats.WallSeconds
 	res.EnergymJ = rep.Stats.EnergymJ()
 	res.Diagnosis = string(rep.Intermittent.Diagnosis.Kind)
-	res.FastForwarded = rep.Intermittent.Diagnosis.FastForwarded
 	res.Err = rep.Intermittent.Err
 	res.CleanResumes = rep.CleanResumes
 	return res
@@ -211,10 +205,6 @@ func RenderReport(r Report) string {
 	}
 	fmt.Fprintf(&b, "wall(sim)%s: p50 %.1f ms  p90 %.1f ms  p99 %.1f ms   host: %.2f s\n",
 		est, r.WallP50Sec*1e3, r.WallP90Sec*1e3, r.WallP99Sec*1e3, r.HostSeconds)
-	if r.FastForwardedBoots > 0 {
-		fmt.Fprintf(&b, "fast-forward: %d of %d boots solved analytically\n",
-			r.FastForwardedBoots, r.TotalBoots)
-	}
 	if m := r.Memo; m != nil {
 		fmt.Fprintf(&b, "memo: %d hits (%d full, %d compute), %d misses, %d fills, %d/%d entries, %d evicted\n",
 			m.Hits(), m.FullHits, m.ComputeHits, m.Misses, m.Fills, m.Entries, m.Capacity, m.Evictions)

@@ -68,11 +68,6 @@ func harvestFingerprint(cfg harvest.Config, p harvest.Profile, fx *flex.Config, 
 		h.word(1)
 		h.word(r.MaxBoots)
 		h.word(uint64(r.StagnationLimit))
-		if r.NoFastForward {
-			h.word(1)
-		} else {
-			h.word(0)
-		}
 		h.word(uint64(r.LedgerDepth))
 	}
 	return uint64(h), true

@@ -150,14 +150,15 @@ const (
 // Outcome is a cached row: everything the fleet's aggregator and
 // NDJSON sink consume, minus the per-device name.
 type Outcome struct {
-	Profile       string
-	Completed     bool
-	Predicted     int
-	Boots         uint64
-	ActiveSec     float64
-	WallSec       float64
-	EnergymJ      float64
-	Diagnosis     string
+	Profile   string
+	Completed bool
+	Predicted int
+	Boots     uint64
+	ActiveSec float64
+	WallSec   float64
+	EnergymJ  float64
+	Diagnosis string
+	// Deprecated: always 0; bench/ still reads it (ROADMAP item 2)
 	FastForwarded uint64
 	// Err is the run's sentinel error value, shared by every replayed
 	// row (errors are immutable; sinks only render Err.Error()).

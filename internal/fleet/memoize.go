@@ -49,35 +49,33 @@ func runMemoized(s Scenario, m *memo.Memo) Result {
 // type, and Tier-2 outcomes carry no profile at all.
 func resultFromOutcome(s Scenario, o memo.Outcome) Result {
 	return Result{
-		Name:          s.Name,
-		Engine:        s.Engine,
-		Profile:       ProfileLabel(s.Setup.Profile),
-		Completed:     o.Completed,
-		Predicted:     o.Predicted,
-		Boots:         o.Boots,
-		ActiveSec:     o.ActiveSec,
-		WallSec:       o.WallSec,
-		EnergymJ:      o.EnergymJ,
-		Diagnosis:     o.Diagnosis,
-		FastForwarded: o.FastForwarded,
-		Err:           o.Err,
-		CleanResumes:  o.CleanResumes,
+		Name:         s.Name,
+		Engine:       s.Engine,
+		Profile:      ProfileLabel(s.Setup.Profile),
+		Completed:    o.Completed,
+		Predicted:    o.Predicted,
+		Boots:        o.Boots,
+		ActiveSec:    o.ActiveSec,
+		WallSec:      o.WallSec,
+		EnergymJ:     o.EnergymJ,
+		Diagnosis:    o.Diagnosis,
+		Err:          o.Err,
+		CleanResumes: o.CleanResumes,
 	}
 }
 
 // outcomeFromResult captures the simulated row for the cache.
 func outcomeFromResult(r Result) memo.Outcome {
 	return memo.Outcome{
-		Profile:       r.Profile,
-		Completed:     r.Completed,
-		Predicted:     r.Predicted,
-		Boots:         r.Boots,
-		ActiveSec:     r.ActiveSec,
-		WallSec:       r.WallSec,
-		EnergymJ:      r.EnergymJ,
-		Diagnosis:     r.Diagnosis,
-		FastForwarded: r.FastForwarded,
-		Err:           r.Err,
-		CleanResumes:  r.CleanResumes,
+		Profile:      r.Profile,
+		Completed:    r.Completed,
+		Predicted:    r.Predicted,
+		Boots:        r.Boots,
+		ActiveSec:    r.ActiveSec,
+		WallSec:      r.WallSec,
+		EnergymJ:     r.EnergymJ,
+		Diagnosis:    r.Diagnosis,
+		Err:          r.Err,
+		CleanResumes: r.CleanResumes,
 	}
 }

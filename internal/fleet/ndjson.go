@@ -40,10 +40,9 @@ type NDJSONRow struct {
 	ActiveSec float64 `json:"active_s"`
 	WallSec   float64 `json:"wall_s"`
 	EnergyMJ  float64 `json:"energy_mj"`
-	// Diag is the intermittent runner's verdict kind; FFBoots counts
-	// boots skipped by the analytic fast-forward (present only when
-	// non-zero; included in Boots).
-	Diag    string `json:"diag,omitempty"`
+	// Diag is the intermittent runner's verdict kind.
+	Diag string `json:"diag,omitempty"`
+	// Deprecated: always 0; bench/ still reads it (ROADMAP item 2)
 	FFBoots uint64 `json:"ff_boots,omitempty"`
 	Err     string `json:"err,omitempty"`
 	// Memo tags how a memoized run obtained the row ("miss",
@@ -68,7 +67,6 @@ func makeRow(i int, r Result, tagMemo bool) NDJSONRow {
 		WallSec:   r.WallSec,
 		EnergyMJ:  r.EnergymJ,
 		Diag:      r.Diagnosis,
-		FFBoots:   r.FastForwarded,
 	}
 	if r.Err != nil {
 		row.Err = r.Err.Error()

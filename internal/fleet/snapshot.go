@@ -22,6 +22,9 @@ import (
 // aggSnapshotVersion is the snapshot schema version. Bump it when the
 // encoded layout changes incompatibly; old snapshots then fail with
 // ErrSnapshotVersion instead of decoding into silently wrong state.
+// Dropping a field is compatible: gob skips an encoded field the
+// destination lacks, so snapshots that still carry the retired FFBoots
+// counter restore unchanged at version 1.
 const aggSnapshotVersion = 1
 
 // ErrSnapshotVersion: the snapshot was written by an incompatible
@@ -39,7 +42,6 @@ type aggSnapV1 struct {
 	Completed int
 	Errors    int
 	Boots     uint64
-	FFBoots   uint64
 
 	Exact     []float64
 	Spilled   bool
@@ -61,7 +63,6 @@ func (a *Agg) Snapshot() ([]byte, error) {
 		Completed: a.completed,
 		Errors:    a.errors,
 		Boots:     a.boots,
-		FFBoots:   a.ffBoots,
 		Spilled:   a.hist != nil,
 		HistCount: a.histCount,
 		Engines:   make(map[string]GroupStats, len(a.engines)),
@@ -116,7 +117,6 @@ func RestoreAgg(snap []byte) (*Agg, error) {
 	a.completed = s.Completed
 	a.errors = s.Errors
 	a.boots = s.Boots
-	a.ffBoots = s.FFBoots
 	a.exact = s.Exact
 	if s.Spilled {
 		a.hist = s.Hist

@@ -196,12 +196,10 @@ func PaperConfig() Config {
 // integrationMode selects the time basis the capacitor integrates the
 // profile on. A profile with a positive ProfilePeriod is integrated on
 // a phase accumulator in [0, period) and a constant one on a zero
-// anchor,
-// so the energy arithmetic of a boot cycle is independent of how much
-// absolute time precedes it — steady cycles are bit-repeatable at any
-// simulated age, which is what the intermittent runner's analytic
-// fast-forward proves its fixed points on (and what keeps million-
-// second horizons from losing float resolution). Aperiodic
+// anchor, so the energy arithmetic of a boot cycle is independent of
+// how much absolute time precedes it: steady cycles are bit-repeatable
+// at any simulated age, and million-second horizons lose no float
+// resolution. The pinned row bytes depend on this time basis. Aperiodic
 // non-constant profiles (a hold-last trace) integrate on absolute time.
 type integrationMode int
 
@@ -290,9 +288,9 @@ func (c *Capacitor) Voltage() float64 {
 	return math.Sqrt(2 * c.energyJ / c.cfg.CapacitanceF)
 }
 
-// Now returns the absolute simulation time in seconds. After
-// SkipSteadyCycles it is advanced by the caller-supplied per-cycle
-// wall time, so it stays a diagnostic clock, not a bit-exact one.
+// Now returns the absolute simulation time in seconds (active plus
+// recharge time). Only aperiodic profiles integrate on it; the others
+// use the phase anchor (see integrationMode).
 func (c *Capacitor) Now() float64 { return c.nowSec }
 
 // HarvestedJ returns the lifetime harvested energy in joules (gross:
@@ -300,8 +298,8 @@ func (c *Capacitor) Now() float64 { return c.nowSec }
 func (c *Capacitor) HarvestedJ() float64 { return c.harvestedJ + c.cycleHarvestJ }
 
 // CycleHarvestJ returns the gross energy harvested over the most
-// recent full boot cycle (discharge plus the recharge that ended it) —
-// the per-cycle delta SkipSteadyCycles replays.
+// recent full boot cycle (discharge plus the recharge that ended it),
+// as the intermittent runner's boot ledger records it.
 func (c *Capacitor) CycleHarvestJ() float64 { return c.lastCycleJ }
 
 // CycleToken captures the supply state that determines how a boot
@@ -324,19 +322,6 @@ func (c *Capacitor) CycleToken() (CycleToken, bool) {
 		EnergyBits: math.Float64bits(c.energyJ),
 		PhaseBits:  math.Float64bits(c.phase),
 	}, true
-}
-
-// SkipSteadyCycles fast-forwards the supply across k boot cycles that
-// each repeat the last observed cycle exactly: stored energy and phase
-// are already at their cycle fixed point (a steady cycle starts and
-// ends full at the same phase), the harvest meter replays the
-// per-cycle delta cycleJ fold by fold (bit-identical to k real
-// cycles), and the diagnostic clock advances by k·wallSec.
-func (c *Capacitor) SkipSteadyCycles(k uint64, wallSec, cycleJ float64) {
-	for i := uint64(0); i < k; i++ {
-		c.harvestedJ += cycleJ
-	}
-	c.nowSec += float64(k) * wallSec
 }
 
 // EnergyJ returns the currently stored energy in joules.

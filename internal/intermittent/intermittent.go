@@ -43,22 +43,6 @@
 // per-boot cost — the case the old active-cycle fingerprint heuristic
 // misdetected — advances its write log every boot and therefore runs
 // to completion, however many boots it needs.
-//
-// # Analytic fast-forward
-//
-// On a phase-anchored harvest supply (harvest.Capacitor under a
-// periodic or constant profile: anything but a hold-last trace), a
-// steady run reaches an
-// exact fixed point: the supply token (stored-energy and profile-phase
-// bits) repeats at boot start and the ledger records become
-// bit-identical. Once the runner observes two consecutive identical
-// boot cycles at a repeated token, it can jump: device stats, supply
-// meters and the program's persistent progress advance by k boots in
-// one step (per-boot deltas replayed fold by fold, so the totals are
-// bit-identical to simulating every boot), then simulation resumes for
-// the final boots. Programs opt in to completion jumps by implementing
-// Skippable. Thousand-boot slow-harvest runs cost a handful of simulated
-// boots (see BenchmarkIntermittentFastForward).
 package intermittent
 
 import (
@@ -78,30 +62,9 @@ type Program interface {
 
 // ProgressReporter lets the runner observe forward progress (any
 // monotonically non-decreasing counter, e.g. FLEX's commit sequence).
-// Programs that implement it get progress-aware stagnation verdicts
-// and become eligible for the analytic fast-forward via Skippable.
+// Programs that implement it get progress-aware stagnation verdicts.
 type ProgressReporter interface {
 	Progress() uint64
-}
-
-// Skippable marks a checkpointing program whose steady-state boots are
-// homogeneous: between warm-up and the final boots, every boot
-// performs the same charged work and advances the progress counter by
-// the same delta, and the persistent state after k such boots depends
-// only on the progress value. The runner never trusts the contract
-// blindly — it first proves the homogeneity on the ledger (two
-// consecutive bit-identical boot cycles at a repeated supply token)
-// and re-checks the reported progress after every jump.
-type Skippable interface {
-	ProgressReporter
-	// ProgressTarget returns the progress value at which Boot returns
-	// instead of browning out.
-	ProgressTarget() uint64
-	// SkipBoots applies k boots of delta progress each directly to the
-	// persistent state, uncharged, leaving the program exactly where
-	// boot-by-boot execution would have (the runner replays the
-	// charges on the device's ledger).
-	SkipBoots(k, delta uint64)
 }
 
 // ErrStagnant is wrapped in Result.Err when the boot ledger proved
@@ -204,8 +167,7 @@ type Diagnosis struct {
 	Window int
 	// Progress is the final reported progress (reporters only).
 	Progress uint64
-	// FastForwarded counts boots skipped by the analytic fast-forward
-	// (included in Result.Boots, absent from Result.Ledger).
+	// Deprecated: always 0; bench/ still reads it (ROADMAP item 2)
 	FastForwarded uint64
 	// Detail is a human-readable elaboration.
 	Detail string
@@ -216,9 +178,6 @@ func (d Diagnosis) String() string {
 	s := string(d.Kind)
 	if d.Window > 0 {
 		s += fmt.Sprintf(" [%d-boot window]", d.Window)
-	}
-	if d.FastForwarded > 0 {
-		s += fmt.Sprintf(" [%d boots fast-forwarded]", d.FastForwarded)
 	}
 	if d.Detail != "" {
 		s += ": " + d.Detail
@@ -231,26 +190,22 @@ type Result struct {
 	// Completed is true when Boot returned without a power failure.
 	Completed bool
 	// Boots is the number of power-failure restarts (0 = finished on
-	// first charge), including analytically fast-forwarded boots.
+	// first charge).
 	Boots uint64
 	// Err is nil on completion, otherwise one of the sentinel errors
 	// above (or the program's own error).
 	Err error
 	// Diagnosis explains the verdict.
 	Diagnosis Diagnosis
-	// Ledger holds the last LedgerDepth executed boots in
-	// chronological order. Boots skipped by the analytic fast-forward
-	// do not appear (they are exact copies of the steady record that
-	// preceded them); Diagnosis.FastForwarded counts them.
+	// Ledger holds the last LedgerDepth boots in chronological order.
 	Ledger []BootRecord
 }
 
-// steadySupply is the supply surface the analytic fast-forward needs;
+// cycleSupply is the supply surface the boot ledger records;
 // harvest.Capacitor implements it.
-type steadySupply interface {
+type cycleSupply interface {
 	CycleToken() (harvest.CycleToken, bool)
 	CycleHarvestJ() float64
-	SkipSteadyCycles(k uint64, wallSec, cycleJ float64)
 }
 
 // Runner executes Programs across power cycles.
@@ -262,11 +217,6 @@ type Runner struct {
 	// (zero or identical persistent writes, frozen progress) after
 	// which a program is declared stuck. Zero means the default of 8.
 	StagnationLimit int
-	// NoFastForward disables the analytic fast-forward, simulating
-	// every boot. Results are bit-identical either way (pinned by
-	// TestFastForwardBitIdentical); this exists for that comparison
-	// and for ledger-complete traces.
-	NoFastForward bool
 	// LedgerDepth bounds the BootRecord ring kept for Result.Ledger.
 	// Zero means the default of 16 (at least 2 is always kept).
 	LedgerDepth int
@@ -277,11 +227,6 @@ const (
 	defaultMaxBoots    = 10000
 	defaultStagLimit   = 8
 	defaultLedgerDepth = 16
-	// skipMargin is how many provably-failing steady boots the
-	// fast-forward leaves to real simulation before a completion, so
-	// warm-down effects (the completing boot's different shape) are
-	// executed, never extrapolated.
-	skipMargin = 2
 )
 
 // Run drives p on d until completion, stagnation, exhaustion, or the
@@ -308,18 +253,16 @@ func (r *Runner) Run(d *device.Device, p Program) Result {
 		ring                  = make([]BootRecord, depth) // circular, pushed rn times
 		rn                    int
 		reporter, hasReporter = p.(ProgressReporter)
-		skipper, hasSkipper   = p.(Skippable)
-		supply, _             = d.Supply().(steadySupply)
+		supply, _             = d.Supply().(cycleSupply)
 
 		lastProgress uint64
 		stagnant     int
 		stagKind     DiagnosisKind
-		ffBoots      uint64
 
-		// The last two completed boot cycles (failed boot + recharge),
-		// for the steady-state fixed-point check.
-		cycle1, cycle2 BootRecord
-		haveCycles     int
+		// The last completed boot cycle (failed boot + recharge), the
+		// predecessor the write-log verdicts compare against.
+		prev     BootRecord
+		havePrev bool
 	)
 
 	push := func(rec BootRecord) {
@@ -329,7 +272,6 @@ func (r *Runner) Run(d *device.Device, p Program) Result {
 	finish := func(err error, diag Diagnosis) Result {
 		res.Err = err
 		res.Boots = d.Stats().Boots
-		diag.FastForwarded = ffBoots
 		if hasReporter {
 			diag.Progress = lastProgress
 		}
@@ -402,11 +344,11 @@ func (r *Runner) Run(d *device.Device, p Program) Result {
 		evidence := false
 		var kind DiagnosisKind
 		switch {
-		case hasReporter && rec.Delta == 0 && !freshWrites(haveCycles > 0, cycle1, rec, bs):
+		case hasReporter && rec.Delta == 0 && !freshWrites(havePrev, prev, rec, bs):
 			evidence, kind = true, DiagFrozenProgress
 		case !hasReporter && rec.FRAMWriteWords == 0:
 			evidence, kind = true, DiagNoPersistentWrites
-		case !hasReporter && haveCycles > 0 && sameWriteLog(cycle1, rec):
+		case !hasReporter && havePrev && sameWriteLog(prev, rec):
 			evidence, kind = true, DiagIdenticalWrites
 		}
 		if evidence {
@@ -446,49 +388,7 @@ func (r *Runner) Run(d *device.Device, p Program) Result {
 			rec.CycleHarvestJ = supply.CycleHarvestJ()
 		}
 		push(rec)
-		cycle2, cycle1 = cycle1, rec
-		haveCycles++
-
-		// Analytic fast-forward: a Skippable program that advances every
-		// boot of a proven-periodic run jumps to its completion, minus
-		// the margin.
-		if r.NoFastForward || supply == nil || !hasSkipper || haveCycles < 2 ||
-			cycle1.Delta == 0 || !steadyCycle(cycle2, cycle1) {
-			continue
-		}
-		if curTok, ok := supply.CycleToken(); !ok || curTok != cycle1.Token {
-			continue
-		}
-		var k uint64
-		if target := skipper.ProgressTarget(); target > lastProgress {
-			if full := (target - lastProgress) / cycle1.Delta; full > skipMargin {
-				k = full - skipMargin
-			}
-		}
-		if lim := maxBoots - d.Stats().Boots; k > lim {
-			k = lim
-		}
-		if k == 0 {
-			continue
-		}
-		d.ReplayBoots(k, device.BootStats{
-			Cycles:         cycle1.Cycles,
-			Energy:         cycle1.EnergynJ,
-			NVWrites:       cycle1.NVWrites,
-			FRAMWriteWords: cycle1.FRAMWriteWords,
-		}, cycle1.OffSec)
-		wall := float64(cycle1.Cycles)/d.Costs.ClockHz + cycle1.OffSec
-		supply.SkipSteadyCycles(k, wall, cycle1.CycleHarvestJ)
-		ffBoots += k // replayed already — count them on every exit path
-		skipper.SkipBoots(k, cycle1.Delta)
-		lastProgress += k * cycle1.Delta
-		if got := reporter.Progress(); got != lastProgress {
-			return finish(
-				fmt.Errorf("intermittent: Skippable contract violated: progress %d after skipping %d boots, expected %d",
-					got, k, lastProgress),
-				Diagnosis{Kind: DiagProgramError,
-					Detail: "SkipBoots did not advance progress as promised"})
-		}
+		prev, havePrev = rec, true
 	}
 }
 
@@ -522,20 +422,6 @@ func sameWriteLog(a, b BootRecord) bool {
 		a.NVWrites == b.NVWrites && a.NVHash == b.NVHash &&
 		a.FRAMWriteWords == b.FRAMWriteWords &&
 		a.Cycles == b.Cycles && sameEnergy(a.EnergynJ, b.EnergynJ)
-}
-
-// steadyCycle reports whether two completed boot cycles are
-// bit-identical in everything that determines the next cycle except
-// the write values (which advance on checkpointing programs): charged
-// work, energy vector, write counts, progress delta, recharge time,
-// harvested energy, and the supply token they started from.
-func steadyCycle(a, b BootRecord) bool {
-	return a.Failed && b.Failed &&
-		a.Cycles == b.Cycles && sameEnergy(a.EnergynJ, b.EnergynJ) &&
-		a.NVWrites == b.NVWrites && a.FRAMWriteWords == b.FRAMWriteWords &&
-		a.Delta == b.Delta &&
-		a.OffSec == b.OffSec && a.CycleHarvestJ == b.CycleHarvestJ &&
-		a.HasToken && b.HasToken && a.Token == b.Token
 }
 
 func sameEnergy(a, b [device.NumCategories]float64) bool {

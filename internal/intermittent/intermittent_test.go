@@ -297,7 +297,7 @@ func TestWastedWorkBounded(t *testing.T) {
 }
 
 // ------------------------------------------------------------------
-// Ledger, diagnosis and fast-forward coverage (PR 5).
+// Ledger and diagnosis coverage.
 
 // TestReporterlessCheckpointerManyBootsCompletes is the regression
 // test for the documented misdetection of the old cycle-fingerprint
@@ -396,7 +396,7 @@ func TestIdenticalWritesStagnationDetected(t *testing.T) {
 func TestLedgerBoundedAndChronological(t *testing.T) {
 	cap := paperCap(t, 5e-3)
 	d := device.New(device.DefaultCosts(), cap)
-	res := (&Runner{LedgerDepth: 6, NoFastForward: true}).Run(d,
+	res := (&Runner{LedgerDepth: 6}).Run(d,
 		&chunkProgram{totalChunks: 200, chunkOps: 100000})
 	if !res.Completed {
 		t.Fatalf("did not complete: %+v", res)
@@ -427,109 +427,38 @@ func TestLedgerBoundedAndChronological(t *testing.T) {
 	}
 }
 
-// skipChunkProgram is chunkProgram plus the Skippable contract: its
-// steady-state boots all execute the same number of fixed-cost chunks.
-type skipChunkProgram struct {
-	chunkProgram
-}
-
-func (p *skipChunkProgram) ProgressTarget() uint64 { return p.totalChunks }
-
-func (p *skipChunkProgram) SkipBoots(k, delta uint64) {
-	p.pos.Poke(p.pos.Peek() + k*delta)
-}
-
-// runPair runs the same workload with and without fast-forward on
-// identical devices and returns both results plus both stat snapshots.
-func runPair(t *testing.T, mkProfile func() harvest.Profile, mkProg func() Program,
-	runner Runner) (ff, slow Result, ffStats, slowStats device.Stats) {
-	t.Helper()
-	run := func(noFF bool) (Result, device.Stats) {
-		c, err := harvest.NewCapacitor(harvest.PaperConfig(), mkProfile())
-		if err != nil {
-			t.Fatal(err)
+// TestLongHorizonSteadyCycles runs a thousand-boot weak-ambient
+// completion boot by boot. On a constant profile, once warmed up,
+// every failed boot and its recharge repeat bit for bit however late
+// in the run they come: the ledger's steady records match in work,
+// recharge, harvest and supply token. The boot count stays within the
+// closed form of harvest.BootsToComplete, which charges every boot the
+// full usable budget and ignores the energy harvested while the
+// program runs.
+func TestLongHorizonSteadyCycles(t *testing.T) {
+	c, err := harvest.NewCapacitor(harvest.PaperConfig(), harvest.ConstantProfile{Watts: 5e-4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := device.New(device.DefaultCosts(), c)
+	p := &chunkProgram{totalChunks: 300000, chunkOps: 1000}
+	res := (&Runner{MaxBoots: 100000, LedgerDepth: 8}).Run(d, p)
+	if !res.Completed || p.pos.Peek() != p.totalChunks {
+		t.Fatalf("did not complete: %+v (position %d)", res, p.pos.Peek())
+	}
+	if res.Boots < 1000 {
+		t.Fatalf("boots = %d: workload too small to be long-horizon", res.Boots)
+	}
+	if bound := c.BootsToComplete(d.Stats().TotalEnergynJ * 1e-9); res.Boots > bound {
+		t.Errorf("boots = %d, closed form allows at most %d", res.Boots, bound)
+	}
+	steady := res.Ledger[:len(res.Ledger)-1]
+	for _, rec := range steady[1:] {
+		ref := steady[0]
+		if !rec.HasToken || rec.Token != ref.Token || rec.Cycles != ref.Cycles ||
+			!sameEnergy(rec.EnergynJ, ref.EnergynJ) || rec.Delta != ref.Delta ||
+			rec.OffSec != ref.OffSec || rec.CycleHarvestJ != ref.CycleHarvestJ {
+			t.Fatalf("boot %d left the steady cycle:\n got %+v\nwant %+v", rec.Boot, rec, ref)
 		}
-		d := device.New(device.DefaultCosts(), c)
-		r := runner
-		r.NoFastForward = noFF
-		res := r.Run(d, mkProg())
-		return res, d.Stats()
-	}
-	ff, ffStats = run(false)
-	slow, slowStats = run(true)
-	return
-}
-
-// TestFastForwardBitIdentical is the equivalence property test: for
-// every profile and workload size, the fast-forwarded run must produce
-// bit-identical Result (Completed/Boots/Err) and device energy stats
-// to the boot-by-boot simulation.
-func TestFastForwardBitIdentical(t *testing.T) {
-	profiles := []struct {
-		name string
-		mk   func() harvest.Profile
-	}{
-		{"const", func() harvest.Profile { return harvest.ConstantProfile{Watts: 5e-3} }},
-		{"square", func() harvest.Profile { return harvest.SquareProfile{PeakWatts: 8e-3, Period: 0.05, Duty: 0.5} }},
-		{"sine", func() harvest.Profile { return harvest.SineProfile{PeakWatts: 8e-3, Period: 0.05} }},
-	}
-	workloads := []struct {
-		name   string
-		chunks uint64
-		ops    int
-	}{
-		{"fine-many-boots", 30000, 1000},
-		{"coarse", 2000, 20000},
-		{"one-charge", 50, 1000},
-	}
-	for _, pr := range profiles {
-		for _, w := range workloads {
-			t.Run(pr.name+"/"+w.name, func(t *testing.T) {
-				var progs []Program
-				mkProg := func() Program {
-					p := &skipChunkProgram{chunkProgram{totalChunks: w.chunks, chunkOps: w.ops}}
-					progs = append(progs, p)
-					return p
-				}
-				ff, slow, ffStats, slowStats := runPair(t, pr.mk, mkProg, Runner{MaxBoots: 100000})
-				if ff.Completed != slow.Completed || ff.Boots != slow.Boots {
-					t.Fatalf("result diverged: ff %v/%d vs slow %v/%d",
-						ff.Completed, ff.Boots, slow.Completed, slow.Boots)
-				}
-				if (ff.Err == nil) != (slow.Err == nil) ||
-					(ff.Err != nil && ff.Err.Error() != slow.Err.Error()) {
-					t.Fatalf("err diverged: %v vs %v", ff.Err, slow.Err)
-				}
-				if ffStats != slowStats {
-					t.Fatalf("device stats diverged:\nff   %+v\nslow %+v", ffStats, slowStats)
-				}
-				if p0, p1 := progs[0].(*skipChunkProgram), progs[1].(*skipChunkProgram); p0.pos.Peek() != p1.pos.Peek() {
-					t.Fatalf("persistent state diverged: %d vs %d", p0.pos.Peek(), p1.pos.Peek())
-				}
-			})
-		}
-	}
-}
-
-// TestFastForwardActuallySkips pins that the jump engages: on a
-// constant profile the supply fixed point is immediate, so a many-boot
-// Skippable run must simulate only a handful of boots.
-func TestFastForwardActuallySkips(t *testing.T) {
-	mk := func() harvest.Profile { return harvest.ConstantProfile{Watts: 5e-3} }
-	prog := func() Program {
-		return &skipChunkProgram{chunkProgram{totalChunks: 30000, chunkOps: 1000}}
-	}
-	ff, _, _, _ := runPair(t, mk, prog, Runner{MaxBoots: 100000})
-	if !ff.Completed {
-		t.Fatalf("did not complete: %+v", ff)
-	}
-	if ff.Boots < 100 {
-		t.Fatalf("boots = %d: workload too small to prove anything", ff.Boots)
-	}
-	// Warm-up (two steady cycles to prove the fixed point) plus the
-	// skip margin is all the real simulation a steady run may need.
-	if executed := ff.Boots - ff.Diagnosis.FastForwarded; executed > 8 {
-		t.Fatalf("simulated %d boots (%d fast-forwarded of %d)",
-			executed, ff.Diagnosis.FastForwarded, ff.Boots)
 	}
 }

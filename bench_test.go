@@ -648,9 +648,10 @@ func replaySource(b *testing.B, devices int) fleet.Source {
 // shape: replayScenario resized to 16,384 devices behind a memo that
 // one untimed sweep filled, 2 workers, rows to an NDJSON sink on
 // io.Discard. Every timed device is a full hit, so only the row
-// pipeline runs: scenario build, memo probe and lookup, aggregation
-// and row encoding. Reported as devices/s and heap allocations per
-// device.
+// pipeline runs: scenario build, the worker's replay table (a memo
+// probe and lookup on a class's or input's first sighting in the
+// sweep), aggregation and row encoding. Reported as devices/s and heap
+// allocations per device.
 func BenchmarkFleetMemoReplay(b *testing.B) {
 	const devices = 16384
 	src := replaySource(b, devices)
@@ -674,6 +675,43 @@ func BenchmarkFleetMemoReplay(b *testing.B) {
 	runtime.ReadMemStats(&ms1)
 	if st := m.Stats(); st.Misses != filled.Misses {
 		b.Fatalf("%d misses after the fill sweep, want 0", st.Misses-filled.Misses)
+	}
+	n := float64(devices) * float64(b.N)
+	b.ReportMetric(n/b.Elapsed().Seconds(), "devices/s")
+	b.ReportMetric(float64(ms1.Mallocs-ms0.Mallocs)/n, "allocs/device")
+}
+
+// BenchmarkFleetMemoReplayJobs measures replay in the fleet
+// service's shape: one 4,096-device RunStream per iteration over
+// replayScenario, behind a memo that one untimed job filled, 2
+// workers, each job with its own NDJSON sink on io.Discard. Each job
+// is a new stream whose workers start with empty replay tables, so
+// every job pays the memo probes of its first sightings, which a long
+// sweep amortizes away. Reported as devices/s and heap allocations per
+// device.
+func BenchmarkFleetMemoReplayJobs(b *testing.B) {
+	const devices = 4096
+	src := replaySource(b, devices)
+	m := memo.New(0)
+	job := func() {
+		if _, err := fleet.RunStream(src, fleet.StreamOptions{
+			Workers: 2, Memo: m, Sink: fleet.NewNDJSONSink(io.Discard),
+		}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	job()
+	filled := m.Stats()
+	var ms0, ms1 runtime.MemStats
+	runtime.ReadMemStats(&ms0)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		job()
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&ms1)
+	if st := m.Stats(); st.Misses != filled.Misses {
+		b.Fatalf("%d misses after the filling job, want 0", st.Misses-filled.Misses)
 	}
 	n := float64(devices) * float64(b.N)
 	b.ReportMetric(n/b.Elapsed().Seconds(), "devices/s")

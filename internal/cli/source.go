@@ -54,6 +54,11 @@ type compiledSpec struct {
 	// when they fit what is left of the document's binProfileBudget,
 	// nil when At builds per device.
 	profiles []harvest.Profile
+	// inputs is the model bundle's test-input count.
+	inputs int
+	// trajHandle and predHandle are the spec's first replay handles
+	// (see handles); 0 when its devices carry none.
+	trajHandle, predHandle uint32
 }
 
 // FleetSource is a compiled scenario file: a lazy, concurrency-safe
@@ -104,11 +109,15 @@ func CompileFleetSource(sf *ScenarioFile, baseDir string, seed int64, cache *Art
 		bins:    binProfileBudget,
 	}
 	src := &FleetSource{seed: seed, cum: []int{0}, cache: cache, memo: sf.Memo}
+	nextTraj, nextPred := uint32(1), uint32(1)
 	for di := range sf.Devices {
 		spec, err := c.compile(&sf.Defaults, &sf.Devices[di], di)
 		if err != nil {
 			return nil, fmt.Errorf("device %d (%s): %w",
 				di, specName(&sf.Devices[di], di), err)
+		}
+		if spec.profiles != nil {
+			nextTraj, nextPred = spec.numberHandles(nextTraj, nextPred)
 		}
 		src.specs = append(src.specs, spec)
 		src.natural += spec.count
@@ -148,7 +157,9 @@ func (s *FleetSource) Resize(n int) *FleetSource {
 // device's jitter-bin profile, built once by compile; only a
 // continuously jittered profile, or one whose spec's bins did not fit
 // the document's binProfileBudget, is constructed here, and the device
-// name is the one allocation of an indexed device.
+// name is the one allocation of an indexed device. A device with a
+// bin profile also carries its replay handles (see handles); any
+// other carries none.
 func (s *FleetSource) At(i int) (fleet.Scenario, error) {
 	if i < 0 || i >= s.n {
 		return fleet.Scenario{}, fmt.Errorf("device %d out of range (fleet has %d)", i, s.n)
@@ -158,10 +169,6 @@ func (s *FleetSource) At(i int) (fleet.Scenario, error) {
 	spec := &s.specs[k]
 
 	b, err := s.cache.bundle(spec.modelPath, s.seed)
-	if err != nil {
-		return fleet.Scenario{}, err
-	}
-	profile, err := s.profile(spec, i)
 	if err != nil {
 		return fleet.Scenario{}, err
 	}
@@ -176,26 +183,56 @@ func (s *FleetSource) At(i int) (fleet.Scenario, error) {
 	case spec.count > 1:
 		name = indexedName(spec.name, base-s.cum[k])
 	}
-	return fleet.Scenario{
+	e := i % len(spec.engines)
+	sc := fleet.Scenario{
 		Name:   name,
-		Engine: spec.engines[i%len(spec.engines)],
+		Engine: spec.engines[e],
 		Model:  b.model,
 		Input:  b.inputs[sampleIdx],
-		Setup:  core.HarvestSetup{Config: spec.cfg, Profile: profile, Runner: spec.runner},
-	}, nil
+		Setup:  core.HarvestSetup{Config: spec.cfg, Runner: spec.runner},
+	}
+	bin := 0
+	if spec.jitter != 0 && spec.jitterSteps > 0 {
+		bin = jitterBin(unitFloat(s.seed, i), spec.jitterSteps)
+	}
+	if bin >= len(spec.profiles) {
+		if sc.Setup.Profile, err = spec.buildProfile(quantizedJitterScale(s.seed, i, spec.jitter, spec.jitterSteps)); err != nil {
+			return fleet.Scenario{}, err
+		}
+		return sc, nil
+	}
+	sc.Setup.Profile = spec.profiles[bin]
+	sc.TrajectoryHandle, sc.PredictionHandle = spec.handles(e, bin, sampleIdx)
+	return sc, nil
 }
 
-// profile returns device i's harvest profile: its jitter bin's shared
-// profile, or one built at its jitter scale when the spec keeps none.
-func (s *FleetSource) profile(spec *compiledSpec, i int) (harvest.Profile, error) {
-	b := 0
-	if spec.jitter != 0 && spec.jitterSteps > 0 {
-		b = jitterBin(unitFloat(s.seed, i), spec.jitterSteps)
+// numberHandles gives the spec, whose devices all draw bin profiles,
+// the replay handles from nextTraj and nextPred on, and returns the
+// next free ones. A spec whose handles would pass the largest uint32
+// gets none.
+func (spec *compiledSpec) numberHandles(nextTraj, nextPred uint32) (uint32, uint32) {
+	traj := uint64(len(spec.engines) * len(spec.profiles))
+	pred := uint64(2 * spec.inputs) // two BCM disciplines
+	if uint64(nextTraj)+traj > math.MaxUint32 || uint64(nextPred)+pred > math.MaxUint32 {
+		return nextTraj, nextPred
 	}
-	if b < len(spec.profiles) {
-		return spec.profiles[b], nil
+	spec.trajHandle, spec.predHandle = nextTraj, nextPred
+	return nextTraj + uint32(traj), nextPred + uint32(pred)
+}
+
+// handles returns the replay handles of the spec's device that runs
+// engines[e] on bin profile bin with test input sample, or zeros when
+// the spec has none. The trajectory handle numbers (engine index,
+// bin): the spec fixes the model, harvest config, runner and, as
+// compile checks, the input length. The prediction handle numbers
+// (BCM discipline, sample): the spec fixes the model bundle.
+func (spec *compiledSpec) handles(e, bin, sample int) (traj, pred uint32) {
+	if spec.trajHandle == 0 {
+		return 0, 0
 	}
-	return spec.buildProfile(quantizedJitterScale(s.seed, i, spec.jitter, spec.jitterSteps))
+	d := int(memo.Discipline(spec.engines[e])) - 1
+	return spec.trajHandle + uint32(e*len(spec.profiles)+bin),
+		spec.predHandle + uint32(d*spec.inputs+sample)
 }
 
 // buildProfile builds the spec's waveform with its power scaled.
@@ -396,6 +433,12 @@ func (c *compiler) compile(def, d *DeviceSpec, di int) (compiledSpec, error) {
 	bundle, err := c.cache.bundle(spec.modelPath, c.seed)
 	if err != nil {
 		return spec, err
+	}
+	spec.inputs = len(bundle.inputs)
+	for _, in := range bundle.inputs {
+		if len(in) != len(bundle.inputs[0]) {
+			return spec, fmt.Errorf("model %s: test inputs of %d and %d words", modelPath, len(bundle.inputs[0]), len(in))
+		}
 	}
 
 	engineName := d.Engine

@@ -6,13 +6,17 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
 
 	"ehdl/internal/core"
+	"ehdl/internal/fixed"
 	"ehdl/internal/fleet"
+	"ehdl/internal/fleet/memo"
 	"ehdl/internal/harvest"
+	"ehdl/internal/intermittent"
 )
 
 // TestFleetSourceLazyMatchesMaterialized: At(i) must build exactly
@@ -548,5 +552,86 @@ func TestArtifactCacheConcurrentLoads(t *testing.T) {
 	}
 	if cache.Len() != 1 || cache.Evictions() != 0 {
 		t.Fatalf("len %d evictions %d, want one bundle loaded once", cache.Len(), cache.Evictions())
+	}
+}
+
+// TestFleetSourceHandles: a device carries replay handles exactly when
+// its profile is one of its spec's bin profiles, and the handles keep
+// their promise over a resized fleet: equal trajectory handles mean
+// equal engine, model, harvest config, profile, runner and input
+// length, and equal prediction handles equal BCM discipline, model and
+// input. Continuously jittered devices, and those of a trace spec
+// whose bins exceed the profile budget, carry none.
+func TestFleetSourceHandles(t *testing.T) {
+	dir := t.TempDir()
+	if err := SaveModel(filepath.Join(dir, "m.gob"), testMNISTModel(t, 9)); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "tr.csv"), []byte("0,0.004\n0.05,0.006\n0.1,0.005\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	doc := `{
+  "defaults": { "model": "m.gob", "engine": "sonic,ace+flex,ace", "jitter": 0.3, "jitter_steps": 4 },
+  "devices": [
+    { "name": "flat", "count": 7, "jitter": 0, "max_boots": 50 },
+    { "name": "binned", "count": 40 },
+    { "name": "pinned", "count": 9, "engine": "tails", "sample": 3 },
+    { "name": "continuous", "count": 9, "jitter_steps": 0 },
+    { "name": "over-budget", "count": 9, "jitter_steps": 30000,
+      "profile": { "kind": "trace", "trace": "tr.csv", "repeat": true } }
+  ]
+}`
+	path := filepath.Join(dir, "fleet.json")
+	if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	src, err := LoadFleetSource(path, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type class struct {
+		engine  core.EngineKind
+		model   [32]byte
+		cfg     harvest.Config
+		profile harvest.Profile
+		runner  *intermittent.Runner
+		inputs  int
+	}
+	type sample struct {
+		discipline uint8
+		model      [32]byte
+		input      *fixed.Q15 // the bundle's shared input
+	}
+	trajs := map[uint32]class{}
+	preds := map[uint32]sample{}
+	src = src.Resize(3 * src.Len())
+	for i := 0; i < src.Len(); i++ {
+		s, err := src.At(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		base := i % src.natural
+		binned := src.specs[sort.Search(len(src.specs), func(k int) bool { return src.cum[k+1] > base })].profiles != nil
+		if binned != (s.TrajectoryHandle != 0) || binned != (s.PredictionHandle != 0) {
+			t.Fatalf("device %d (%s): handles %d and %d, bin profile %v", i, s.Name, s.TrajectoryHandle, s.PredictionHandle, binned)
+		}
+		if !binned {
+			continue
+		}
+		model := s.Model.ContentDigest()
+		c := class{s.Engine, model, s.Setup.Config, s.Setup.Profile, s.Setup.Runner, len(s.Input)}
+		if prev, ok := trajs[s.TrajectoryHandle]; ok && prev != c {
+			t.Fatalf("device %d (%s): trajectory handle %d names %+v and %+v", i, s.Name, s.TrajectoryHandle, prev, c)
+		}
+		trajs[s.TrajectoryHandle] = c
+		p := sample{memo.Discipline(s.Engine), model, &s.Input[0]}
+		if prev, ok := preds[s.PredictionHandle]; ok && prev != p {
+			t.Fatalf("device %d (%s): prediction handle %d names %+v and %+v", i, s.Name, s.PredictionHandle, prev, p)
+		}
+		preds[s.PredictionHandle] = p
+	}
+	// flat: 3 engines; binned: 3 engines x 4 bins; pinned: 4 bins.
+	if len(trajs) != 3+12+4 {
+		t.Errorf("%d trajectory handles, want %d", len(trajs), 3+12+4)
 	}
 }

@@ -110,9 +110,12 @@ func TestExhaustiveFaultInjectionBCMOnly(t *testing.T) {
 
 // TestExhaustiveFaultInjectionFullModel sweeps a fault across every
 // charged operation of the full conv/pool/relu/bcm/dense stack for
-// every checkpointing engine. This is the strongest statement of the
-// crash-consistency invariant: no cut point anywhere — including
-// inside a checkpoint commit — changes a single output bit.
+// every checkpointing engine. On the archs these sweeps cover
+// (exectest.BCMArch here, bcmOnlyArch above), no cut point — including
+// inside a checkpoint commit — changes a single output bit. That does
+// not hold for every model: on exectest.DenseArch(), which no sweep
+// here runs, ACE+FLEX finishes with wrong logits at 20–23 of its 873
+// single-fault cut points (its clobbered-input resume, ROADMAP item 1).
 func TestExhaustiveFaultInjectionFullModel(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fault sweep is thorough but slow")

@@ -36,6 +36,19 @@ type Scenario struct {
 	Model  *quant.Model
 	Input  []fixed.Q15
 	Setup  core.HarvestSetup
+
+	// TrajectoryHandle and PredictionHandle let a memoized run replay
+	// a device from its worker's table instead of probing the memo
+	// (see memoize.go). Zero means none. A Source that sets them
+	// promises, over its own scenarios: equal trajectory handles have
+	// equal engine, model content, harvest config, profile, runner
+	// and input length, so they share one trajectory class; equal
+	// prediction handles have equal model content, input and BCM
+	// discipline (memo.Discipline), so they share one reference
+	// prediction. Handles are small dense numbers, because they index
+	// slices.
+	TrajectoryHandle uint32
+	PredictionHandle uint32
 }
 
 // Result is the outcome of one scenario.

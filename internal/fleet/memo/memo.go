@@ -53,7 +53,13 @@
 // nothing. The cache itself is bounded by CLOCK (second-chance)
 // eviction (see lru.go): a hit is a lock-free load plus the entry's
 // reference bit, so workers replaying in parallel do not serialize on
-// it, and only a fill takes its mutex.
+// it, and only a fill takes its mutex. Most replays of a long sweep
+// pay none of this: a fleet worker records what each trajectory-tier
+// hit returned (Probe.HitTrajectory) in a table indexed by the
+// source's class handles, and replays later devices of that class and
+// input from it, adding them to the counters with CountReplays. The
+// probe path remains for each handle's first sighting in a stream,
+// for input-keyed and compute hits, and for devices without handles.
 //
 // Everything served is bit-identical to the unmemoized pipeline:
 // hits replay values produced by a real simulation of an equivalent
@@ -200,6 +206,7 @@ type Probe struct {
 	input   [32]byte
 	harvest uint64
 	engine  uint8
+	hitTraj bool // the last Lookup hit the trajectory tier
 }
 
 // NewProbe builds the content keys for d in a new Probe. ok is false
@@ -252,16 +259,26 @@ func (p *Probe) prediction() Key {
 	return Key{Code: keyCode(tierPrediction, p.discipline(), 0), Model: p.model, Input: p.input}
 }
 
-// discipline returns the BCM arithmetic p's engine computes with, and
-// so the host reference executor its logits match: ACE's FFT pipeline
-// or the baselines' time domain.
-func (p *Probe) discipline() uint8 {
-	switch engines[p.engine-1] {
+// discipline returns the BCM arithmetic p's engine computes with.
+func (p *Probe) discipline() uint8 { return Discipline(engines[p.engine-1]) }
+
+// Discipline returns the BCM arithmetic engine computes with, and so
+// the host reference executor its logits match: 2 for ACE's FFT
+// pipeline, 1 for the baselines' time domain. Devices of equal
+// discipline, model and input share a prediction entry.
+func Discipline(engine core.EngineKind) uint8 {
+	switch engine {
 	case core.EngineACE, core.EngineACEFLEX:
 		return disciplineFFT
 	}
 	return disciplineTime
 }
+
+// HitTrajectory reports whether the last Lookup of p replayed its
+// class's trajectory entry: the outcome it returned, less its
+// prediction, is then every device of the class's, and its prediction
+// is the reference argmax of p's input.
+func (p *Probe) HitTrajectory() bool { return p.hitTraj }
 
 // HitKind labels how a lookup resolved.
 type HitKind int
@@ -290,7 +307,8 @@ func (k HitKind) String() string {
 // both miss the same key before either fills it — but FullHits +
 // ComputeHits + Misses always equals the devices that consulted the
 // memo, and the rows themselves are bit-identical regardless.
-// FullHits counts trajectory and input-keyed replays alike; Fills
+// FullHits counts trajectory and input-keyed replays alike, with the
+// table replays callers report through CountReplays; Fills
 // counts entries inserted, reference predictions included.
 type Stats struct {
 	FullHits    uint64
@@ -330,18 +348,21 @@ func New(capacity int) *Memo {
 // doubt.
 const eligibilityMargin = 0.999
 
-// Lookup consults the cache for p's device. HitFull replays a whole
-// row: its class's trajectory with the reference prediction of its
-// input, or its input-keyed outcome. HitCompute synthesizes a boot-0
-// completion from the compute entry (the caller labels the profile);
-// Miss means simulate and Fill.
+// Lookup consults the cache for p's device and records on p whether
+// the trajectory tier served it (see HitTrajectory). HitFull replays a whole row: its
+// class's trajectory with the reference prediction of its input, or
+// its input-keyed outcome. HitCompute synthesizes a boot-0 completion
+// from the compute entry (the caller labels the profile); Miss means
+// simulate and Fill.
 func (m *Memo) Lookup(p *Probe) (Outcome, HitKind) {
+	p.hitTraj = false
 	if v, ok := m.lru.Get(p.trajectory()); ok {
 		out := v.(Outcome)
 		if out.Completed {
 			out.Predicted = m.predict(p)
 		}
 		m.fullHits.Add(1)
+		p.hitTraj = true
 		return out, HitFull
 	}
 	if v, ok := m.lru.Get(p.full()); ok {
@@ -418,6 +439,15 @@ func (m *Memo) Fill(p *Probe, out Outcome) {
 			ActiveSec: out.ActiveSec,
 			EnergymJ:  out.EnergymJ,
 		})
+	}
+}
+
+// CountReplays adds n full hits that a caller served without a
+// Lookup, from its own record of earlier trajectory-tier hits, so
+// Stats keeps counting every device that the memo answered.
+func (m *Memo) CountReplays(n uint64) {
+	if n != 0 {
+		m.fullHits.Add(n)
 	}
 }
 

@@ -418,3 +418,39 @@ func TestHitKindString(t *testing.T) {
 		}
 	}
 }
+
+// TestLookupReportsTier: after a Lookup, the probe reports a
+// trajectory-tier hit as such, and an input-keyed hit, a compute hit
+// or a miss as not, so a caller records only class outcomes.
+func TestLookupReportsTier(t *testing.T) {
+	m := New(16)
+	clean := dev()
+	m.Fill(probe(t, clean), Outcome{Completed: true, Boots: 2, Diagnosis: "completed", CleanResumes: true})
+	stale := dev()
+	stale.Config.CapacitanceF *= 2
+	m.Fill(probe(t, stale), Outcome{Completed: true, Predicted: 1, Boots: 3, Diagnosis: "completed"})
+	tiny := dev()
+	tiny.Config.CapacitanceF *= 4
+	m.Fill(probe(t, tiny), Outcome{Completed: true, Predicted: 1, ActiveSec: 0.003, EnergymJ: 0.012, Diagnosis: "completed"})
+	other := tiny
+	other.Profile = harvest.SineProfile{PeakWatts: 4e-3, Period: 0.2}
+	fresh := dev()
+	fresh.Input = []fixed.Q15{4, 5, 6}
+	fresh.Config.LeakageW = 1e-6
+	for _, c := range []struct {
+		name string
+		d    Device
+		kind HitKind
+		traj bool
+	}{
+		{"trajectory", clean, HitFull, true},
+		{"input-keyed", stale, HitFull, false},
+		{"compute", other, HitCompute, false},
+		{"miss", fresh, Miss, false},
+	} {
+		p := probe(t, c.d)
+		if _, kind := m.Lookup(p); kind != c.kind || p.HitTrajectory() != c.traj {
+			t.Errorf("%s: lookup %v, trajectory tier %v; want %v, %v", c.name, kind, p.HitTrajectory(), c.kind, c.traj)
+		}
+	}
+}

@@ -2,22 +2,24 @@ package fleet
 
 // Memoized device runs: when StreamOptions.Memo is set, workers
 // consult the content-addressed memo (internal/fleet/memo) before
-// simulating a device and replay the cached outcome on a hit. Rows
-// stay bit-identical to the unmemoized pipeline — only the host time
-// and the Result.Memo tag change.
+// simulating a device and replay the cached outcome on a hit, most of
+// them from a table of their own earlier hits (replayTable). Rows stay
+// bit-identical to the unmemoized pipeline — only the host time and
+// the Result.Memo tag change.
 
 import (
 	"ehdl/internal/core"
 	"ehdl/internal/fleet/memo"
 )
 
-// runMemoized executes one scenario through the memo: replay on a
-// hit, simulate-and-fill on a miss. Scenarios the memo cannot
+// lookup executes one scenario through the memo: replay on a hit,
+// simulate-and-fill on a miss. It also reports whether the memo served
+// the row from its class's trajectory entry. Scenarios the memo cannot
 // content-address (no model, unknown profile type, an engine outside
 // core.AllEngines) simulate directly with an empty Memo tag, exactly
 // as if the memo were off. The probe lives on this frame, so a hit
 // allocates nothing.
-func runMemoized(s Scenario, m *memo.Memo) Result {
+func lookup(s Scenario, m *memo.Memo) (Result, bool) {
 	var probe memo.Probe
 	if !probe.Reset(memo.Device{
 		Engine:           string(s.Engine),
@@ -29,18 +31,100 @@ func runMemoized(s Scenario, m *memo.Memo) Result {
 		Flex:             s.Setup.FlexConfig,
 		Runner:           s.Setup.Runner,
 	}) {
-		return runOne(s)
+		return runOne(s), false
 	}
 	out, kind := m.Lookup(&probe)
 	if kind != memo.Miss {
 		r := resultFromOutcome(s, out)
 		r.Memo = kind.String()
-		return r
+		return r, probe.HitTrajectory()
 	}
 	r := runOne(s)
 	m.Fill(&probe, outcomeFromResult(r))
 	r.Memo = kind.String()
+	return r, false
+}
+
+// replayTable is one worker's record, for one stream, of what its
+// trajectory-tier memo hits returned, indexed by the Source's handles
+// less one: each trajectory handle's class outcome and each prediction
+// handle's reference argmax. A device whose two slots are filled
+// replays from them without building a probe; any other takes lookup
+// and, on a trajectory-tier hit, fills its slots. Both are copies of
+// memo entries, which are pure functions of their keys, and the
+// Source's handle promise makes equal handles mean equal keys, so a
+// slot serves the row the memo would. Input-keyed and compute-tier
+// hits leave the table alone. Handles past maxReplaySlots always
+// take lookup.
+type replayTable struct {
+	traj []trajectorySlot
+	pred []int // argmax+1; 0 is an empty slot
+	// hits counts table replays not yet added to the memo's counters.
+	hits uint64
+}
+
+type trajectorySlot struct {
+	out memo.Outcome // Predicted is -1
+	ok  bool
+}
+
+// maxReplaySlots caps each of a table's slices: a full trajectory
+// slice holds about 500 KB.
+const maxReplaySlots = 1 << 12
+
+// run executes one scenario through the table, then the memo.
+func (t *replayTable) run(s Scenario, m *memo.Memo) Result {
+	if r, ok := t.replay(s); ok {
+		t.hits++
+		return r
+	}
+	r, traj := lookup(s, m)
+	if traj {
+		t.fill(s, r)
+	}
 	return r
+}
+
+// replay returns s's row from its slots, and false when a slot it
+// needs is empty: a completed row takes its prediction from its
+// prediction slot, any other predicts -1.
+func (t *replayTable) replay(s Scenario) (Result, bool) {
+	c := int(s.TrajectoryHandle) - 1
+	if uint(c) >= uint(len(t.traj)) || !t.traj[c].ok {
+		return Result{}, false
+	}
+	r := resultFromOutcome(s, t.traj[c].out)
+	if r.Completed {
+		p := int(s.PredictionHandle) - 1
+		if uint(p) >= uint(len(t.pred)) || t.pred[p] == 0 {
+			return Result{}, false
+		}
+		r.Predicted = t.pred[p] - 1
+	}
+	r.Memo = memo.HitFull.String()
+	return r, true
+}
+
+// fill records the row of a trajectory-tier hit in s's slots.
+func (t *replayTable) fill(s Scenario, r Result) {
+	if c := int(s.TrajectoryHandle) - 1; c >= 0 && c < maxReplaySlots {
+		t.traj = grow(t.traj, c)
+		t.traj[c].out = outcomeFromResult(r)
+		t.traj[c].out.Predicted = -1
+		t.traj[c].ok = true
+	}
+	if p := int(s.PredictionHandle) - 1; p >= 0 && p < maxReplaySlots && r.Completed {
+		t.pred = grow(t.pred, p)
+		t.pred[p] = r.Predicted + 1
+	}
+}
+
+// grow extends xs with empty slots until it has slot k.
+func grow[T any](xs []T, k int) []T {
+	if k < len(xs) {
+		return xs
+	}
+	return append(xs, make([]T, k+1-len(xs))...)
 }
 
 // resultFromOutcome rebuilds a Result row from a cached outcome. The

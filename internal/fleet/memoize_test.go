@@ -18,6 +18,13 @@ import (
 	"ehdl/internal/quant"
 )
 
+// runMemoized executes one scenario through the memo alone, without a
+// worker's replay table: the path of a device the table cannot serve.
+func runMemoized(s Scenario, m *memo.Memo) Result {
+	r, _ := lookup(s, m)
+	return r
+}
+
 // memoFields additionally strips the memo-dependent diagnostics
 // (stats snapshot, per-row hit tags) that are scheduling-dependent by
 // design — everything else must be bit-identical memo-on vs memo-off.
@@ -454,5 +461,75 @@ func TestMemoRender(t *testing.T) {
 	}
 	if out2 := RenderReport(collectRun(t, testFleet(t, m), 2)); strings.Contains(out2, "memo:") {
 		t.Fatal("unmemoized render shows a memo line")
+	}
+}
+
+// TestReplayTable: a worker's table replays a device once its class's
+// trajectory-tier hit has filled the device's slots, with the same row
+// the memo serves, and never fills a slot from an input-keyed hit.
+// The stale device is an ACE+FLEX run of TestMemoStaleResumeRows that
+// resumes stale and predicts off the reference; the clean one runs the
+// same model and input on a large capacitor, under the same
+// prediction handle. Were the stale device's input-keyed hit recorded,
+// the clean device's next replay would take its prediction.
+func TestReplayTable(t *testing.T) {
+	m := exectest.Model(t, exectest.DenseArch(), 31)
+	rng := rand.New(rand.NewSource(307))
+	signs := make([]fixed.Q15, 64)
+	for i := range signs {
+		signs[i] = fixed.One
+		if rng.Intn(2) != 0 {
+			signs[i] = fixed.MinusOne
+		}
+	}
+	flexCfg := &flex.Config{VWarn: 3.0, SampleStride: 2}
+	staleCfg := harvest.PaperConfig()
+	staleCfg.CapacitanceF = 0.68e-6
+	stale := Scenario{
+		Name: "stale", Engine: core.EngineACEFLEX, Model: m, Input: signs,
+		Setup:            core.HarvestSetup{Config: staleCfg, Profile: harvest.ConstantProfile{Watts: 4e-4}, FlexConfig: flexCfg},
+		TrajectoryHandle: 1, PredictionHandle: 1,
+	}
+	clean := stale
+	clean.Name = "clean"
+	clean.Setup.Config = harvest.PaperConfig()
+	clean.TrajectoryHandle = 2
+	want := runOne(clean)
+	if got := runOne(stale); got.CleanResumes || !got.Completed || got.Predicted == want.Predicted {
+		t.Fatalf("stale device: clean resumes %v, completed %v, predicted %d (clean %d); want a stale completion off the reference",
+			got.CleanResumes, got.Completed, got.Predicted, want.Predicted)
+	}
+	if !want.CleanResumes || !want.Completed {
+		t.Fatalf("clean device: clean resumes %v, completed %v", want.CleanResumes, want.Completed)
+	}
+
+	mm := memo.New(0)
+	var table replayTable
+	for k, step := range []struct {
+		s      Scenario
+		tabled bool // served from the table
+	}{
+		{clean, false}, // miss
+		{clean, false}, // trajectory-tier hit: fills slots 2 and 1
+		{clean, true},
+		{stale, false}, // miss
+		{stale, false}, // input-keyed hit: fills nothing
+		{stale, false},
+		{clean, true},
+	} {
+		before := table.hits
+		got := table.run(step.s, mm)
+		if tabled := table.hits > before; tabled != step.tabled {
+			t.Errorf("step %d (%s): served from the table %v, want %v", k, step.s.Name, tabled, step.tabled)
+		}
+		ref := runOne(step.s)
+		got.Memo = ""
+		if !reflect.DeepEqual(got, ref) {
+			t.Errorf("step %d (%s): row %+v, want %+v", k, step.s.Name, got, ref)
+		}
+	}
+	mm.CountReplays(table.hits)
+	if st := mm.Stats(); st.Hits()+st.Misses != 7 {
+		t.Errorf("stats %+v count %d devices, want 7", st, st.Hits()+st.Misses)
 	}
 }

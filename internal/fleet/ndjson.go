@@ -26,6 +26,7 @@ import (
 	"os"
 	"strconv"
 	"sync"
+	"unsafe"
 )
 
 // NDJSONRow is the wire form of one Result row.
@@ -83,10 +84,11 @@ type rowEncoder struct {
 	w      io.Writer
 	buf    []byte
 	floats floatCache
+	plain  plainCache
 }
 
 func (e *rowEncoder) encode(row *NDJSONRow) error {
-	b, ok := appendRow(e.buf[:0], row, &e.floats)
+	b, ok := appendRow(e.buf[:0], row, &e.floats, &e.plain)
 	if !ok {
 		line, err := json.Marshal(*row)
 		if err != nil {
@@ -99,13 +101,14 @@ func (e *rowEncoder) encode(row *NDJSONRow) error {
 	return err
 }
 
-// appendRow appends row's JSON line to b, its floats through fc. ok is
-// false when the row holds a non-finite float (an encoding error) or a
-// string that needs escaping; the caller then encodes the row with
-// encoding/json, so both cases keep its exact bytes and errors.
-func appendRow(b []byte, row *NDJSONRow, fc *floatCache) (_ []byte, ok bool) {
-	for _, s := range [...]string{row.Device, row.Engine, row.Profile, row.Diag, row.Err, row.Memo} {
-		if !plainJSON(s) {
+// appendRow appends row's JSON line to b, its floats through fc and
+// its strings checked through pc. ok is false when the row holds a
+// non-finite float (an encoding error) or a string that needs
+// escaping; the caller then encodes the row with encoding/json, so
+// both cases keep its exact bytes and errors.
+func appendRow(b []byte, row *NDJSONRow, fc *floatCache, pc *plainCache) (_ []byte, ok bool) {
+	for k, s := range [...]string{row.Device, row.Engine, row.Profile, row.Diag, row.Err, row.Memo} {
+		if !pc.plain(k, s) {
 			return b, false
 		}
 	}
@@ -171,7 +174,7 @@ func appendFloat(b []byte, v float64) []byte {
 // bytes by construction.
 type floatCache [1 << floatCacheBits]floatSlot
 
-const floatCacheBits = 9 // 512 slots, 20 KB per encoder
+const floatCacheBits = 11 // 2,048 slots, 80 KB per encoder
 
 // floatSlot holds one cached encoding. n == 0 marks an empty slot: no
 // float encodes to zero bytes. 31 bytes hold every finite float64
@@ -201,6 +204,26 @@ func (c *floatCache) append(b []byte, v float64) []byte {
 // hash, so values differing only in low mantissa bits spread.
 func floatSlotOf(bits uint64) int {
 	return int((bits * 0x9e3779b97f4a7c15) >> (64 - floatCacheBits))
+}
+
+// plainCache holds, for each string field of a row, the last string
+// plainJSON accepted there. Rows repeat the same strings (an engine
+// name, a profile label, a replayed diagnosis), and a Go string never
+// changes: a field whose data pointer and length equal the held
+// string's holds the same bytes, and holding it keeps its memory from
+// being reused, so such a field skips the scan.
+type plainCache [6]string
+
+// plain reports plainJSON(s) for string field k.
+func (c *plainCache) plain(k int, s string) bool {
+	if len(s) == len(c[k]) && unsafe.StringData(s) == unsafe.StringData(c[k]) {
+		return true
+	}
+	if !plainJSON(s) {
+		return false
+	}
+	c[k] = s
+	return true
 }
 
 // plainJSON reports whether s encodes as itself between quotes:

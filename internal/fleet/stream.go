@@ -534,6 +534,7 @@ func runStream(src Source, opts StreamOptions, ck *checkpointing) (Report, error
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var table replayTable
 			for {
 				select {
 				case cm.tokens <- struct{}{}:
@@ -549,7 +550,7 @@ func runStream(src Source, opts StreamOptions, ck *checkpointing) (Report, error
 					cm.fail()
 					return
 				}
-				cd, ok := simulateChunk(ctx, src, cs, min(cs+chunk, pend), &opts, threshold)
+				cd, ok := simulateChunk(ctx, src, cs, min(cs+chunk, pend), &opts, threshold, &table)
 				pool.Release()
 				if !ok {
 					cm.fail()
@@ -606,13 +607,21 @@ func runStream(src Source, opts StreamOptions, ck *checkpointing) (Report, error
 }
 
 // simulateChunk runs devices [cs, ce) into one chunk's rows and
-// aggregator shard. It reports false when ctx is cancelled part-way:
-// a partial chunk must never commit, so the frontier never covers a
-// half-simulated chunk.
-func simulateChunk(ctx context.Context, src Source, cs, ce int, opts *StreamOptions, threshold int) (chunkDone, bool) {
+// aggregator shard, replaying memoized devices through the worker's
+// table and adding its replays to the memo's counters once per chunk.
+// It reports false when ctx is cancelled part-way: a partial chunk
+// must never commit, so the frontier never covers a half-simulated
+// chunk.
+func simulateChunk(ctx context.Context, src Source, cs, ce int, opts *StreamOptions, threshold int, table *replayTable) (chunkDone, bool) {
 	cd := chunkDone{start: cs, end: ce, agg: NewAgg(threshold)}
 	if opts.Sink != nil {
 		cd.rows = make([]Result, 0, ce-cs)
+	}
+	if opts.Memo != nil {
+		defer func() {
+			opts.Memo.CountReplays(table.hits)
+			table.hits = 0
+		}()
 	}
 	for i := cs; i < ce; i++ {
 		if ctx.Err() != nil {
@@ -632,7 +641,7 @@ func simulateChunk(ctx context.Context, src Source, cs, ce int, opts *StreamOpti
 				Err:       fmt.Errorf("fleet: scenario %d: %w", i, err),
 			}
 		} else if opts.Memo != nil {
-			r = runMemoized(s, opts.Memo)
+			r = table.run(s, opts.Memo)
 		} else {
 			r = runOne(s)
 		}

@@ -7,6 +7,7 @@
 package ehdl_test
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"io"
 	"math/rand"
@@ -653,12 +654,27 @@ func replaySource(b *testing.B, devices int) fleet.Source {
 // sweep), aggregation and row encoding. Reported as devices/s and heap
 // allocations per device.
 func BenchmarkFleetMemoReplay(b *testing.B) {
+	benchMemoReplay(b, func() io.Writer { return io.Discard })
+}
+
+// BenchmarkFleetMemoReplayHashed is BenchmarkFleetMemoReplay with
+// each sweep's rows hashed by SHA-256, as the city-warm workload
+// checks them. The hash runs on the committer, the run's one serial
+// stage, so this shows what io.Discard hides: work on the committer
+// holds back both workers.
+func BenchmarkFleetMemoReplayHashed(b *testing.B) {
+	benchMemoReplay(b, func() io.Writer { return sha256.New() })
+}
+
+// benchMemoReplay runs the memo replay benchmark with each sweep's
+// rows written to a new writer from w.
+func benchMemoReplay(b *testing.B, w func() io.Writer) {
 	const devices = 16384
 	src := replaySource(b, devices)
 	m := memo.New(0)
 	sweep := func() {
 		if _, err := fleet.RunStream(src, fleet.StreamOptions{
-			Workers: 2, Memo: m, Sink: fleet.NewNDJSONSink(io.Discard),
+			Workers: 2, Memo: m, Sink: fleet.NewNDJSONSink(w()),
 		}); err != nil {
 			b.Fatal(err)
 		}

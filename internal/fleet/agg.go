@@ -49,7 +49,7 @@ type GroupStats struct {
 	Boots  uint64
 }
 
-func (g *GroupStats) observe(r Result) {
+func (g *GroupStats) observe(r *Result) {
 	g.Devices++
 	if r.Completed {
 		g.Completed++
@@ -98,7 +98,10 @@ func NewAgg(exactThreshold int) *Agg {
 }
 
 // Observe folds one scenario result into the aggregate.
-func (a *Agg) Observe(r Result) {
+func (a *Agg) Observe(r Result) { a.observe(&r) }
+
+// observe is Observe without copying the row: the workers' path.
+func (a *Agg) observe(r *Result) {
 	a.devices++
 	if r.Completed {
 		a.completed++

@@ -21,7 +21,25 @@ import (
 // allocates nothing.
 func lookup(s Scenario, m *memo.Memo) (Result, bool) {
 	var probe memo.Probe
-	if !probe.Reset(memo.Device{
+	if !probe.Reset(memoDevice(&s)) {
+		return runOne(s), false
+	}
+	out, kind := m.Lookup(&probe)
+	if kind != memo.Miss {
+		var r Result
+		resultFromOutcome(&s, &out, &r)
+		r.Memo = kind.String()
+		return r, probe.HitTrajectory()
+	}
+	r := runOne(s)
+	m.Fill(&probe, outcomeFromResult(r))
+	r.Memo = kind.String()
+	return r, false
+}
+
+// memoDevice is what the memo keys s by.
+func memoDevice(s *Scenario) memo.Device {
+	return memo.Device{
 		Engine:           string(s.Engine),
 		VoltageOblivious: core.VoltageOblivious(s.Engine),
 		Model:            s.Model,
@@ -30,19 +48,7 @@ func lookup(s Scenario, m *memo.Memo) (Result, bool) {
 		Profile:          s.Setup.Profile,
 		Flex:             s.Setup.FlexConfig,
 		Runner:           s.Setup.Runner,
-	}) {
-		return runOne(s), false
 	}
-	out, kind := m.Lookup(&probe)
-	if kind != memo.Miss {
-		r := resultFromOutcome(s, out)
-		r.Memo = kind.String()
-		return r, probe.HitTrajectory()
-	}
-	r := runOne(s)
-	m.Fill(&probe, outcomeFromResult(r))
-	r.Memo = kind.String()
-	return r, false
 }
 
 // replayTable is one worker's record, for one stream, of what its
@@ -66,50 +72,67 @@ type replayTable struct {
 type trajectorySlot struct {
 	out memo.Outcome // Predicted is -1
 	ok  bool
+	// line holds a replayed row's bytes from its engine field on,
+	// less the prediction, which goes at cut; the slot's first replay
+	// encodes them (see workerEncoder). general marks a slot whose
+	// row appendRow declines. Both stay unset when the run's sink
+	// takes no lines.
+	general bool
+	line    []byte
+	cut     int
 }
 
 // maxReplaySlots caps each of a table's slices: a full trajectory
-// slice holds about 500 KB.
+// slice holds about 600 KB, not counting cached line bytes.
 const maxReplaySlots = 1 << 12
 
-// run executes one scenario through the table, then the memo.
-func (t *replayTable) run(s Scenario, m *memo.Memo) Result {
-	if r, ok := t.replay(s); ok {
+// run executes one scenario through the table, then the memo, into r.
+// It returns the trajectory slot of a table replay, nil otherwise; the
+// pointer is good until the table's next run.
+func (t *replayTable) run(s *Scenario, m *memo.Memo, r *Result) *trajectorySlot {
+	if sl := t.replay(s, r); sl != nil {
 		t.hits++
-		return r
+		return sl
 	}
-	r, traj := lookup(s, m)
+	var traj bool
+	*r, traj = lookup(*s, m)
 	if traj {
 		t.fill(s, r)
 	}
-	return r
+	return nil
 }
 
-// replay returns s's row from its slots, and false when a slot it
+// replay writes s's row from its slots into r and returns its
+// trajectory slot, or returns nil, leaving r alone, when a slot it
 // needs is empty: a completed row takes its prediction from its
 // prediction slot, any other predicts -1.
-func (t *replayTable) replay(s Scenario) (Result, bool) {
+func (t *replayTable) replay(s *Scenario, r *Result) *trajectorySlot {
 	c := int(s.TrajectoryHandle) - 1
 	if uint(c) >= uint(len(t.traj)) || !t.traj[c].ok {
-		return Result{}, false
+		return nil
 	}
-	r := resultFromOutcome(s, t.traj[c].out)
-	if r.Completed {
+	sl := &t.traj[c]
+	predicted := -1
+	if sl.out.Completed {
 		p := int(s.PredictionHandle) - 1
 		if uint(p) >= uint(len(t.pred)) || t.pred[p] == 0 {
-			return Result{}, false
+			return nil
 		}
-		r.Predicted = t.pred[p] - 1
+		predicted = t.pred[p] - 1
 	}
+	resultFromOutcome(s, &sl.out, r)
+	r.Predicted = predicted
 	r.Memo = memo.HitFull.String()
-	return r, true
+	return sl
 }
 
-// fill records the row of a trajectory-tier hit in s's slots.
-func (t *replayTable) fill(s Scenario, r Result) {
+// fill records the row of a trajectory-tier hit in s's slots. A
+// refill leaves a slot's line bytes valid: by the handle promise it
+// carries the same outcome.
+func (t *replayTable) fill(s *Scenario, r *Result) {
 	if c := int(s.TrajectoryHandle) - 1; c >= 0 && c < maxReplaySlots {
 		t.traj = grow(t.traj, c)
-		t.traj[c].out = outcomeFromResult(r)
+		t.traj[c].out = outcomeFromResult(*r)
 		t.traj[c].out.Predicted = -1
 		t.traj[c].ok = true
 	}
@@ -127,12 +150,12 @@ func grow[T any](xs []T, k int) []T {
 	return append(xs, make([]T, k+1-len(xs))...)
 }
 
-// resultFromOutcome rebuilds a Result row from a cached outcome. The
-// per-device identity (name) and the profile label come from the
-// scenario: equal trajectory and Tier-1 keys imply the same waveform
+// resultFromOutcome rebuilds a Result row from a cached outcome into
+// r. The per-device identity (name) and the profile label come from
+// the scenario: equal trajectory and Tier-1 keys imply the same waveform
 // type, and Tier-2 outcomes carry no profile at all.
-func resultFromOutcome(s Scenario, o memo.Outcome) Result {
-	return Result{
+func resultFromOutcome(s *Scenario, o *memo.Outcome, r *Result) {
+	*r = Result{
 		Name:         s.Name,
 		Engine:       s.Engine,
 		Profile:      ProfileLabel(s.Setup.Profile),

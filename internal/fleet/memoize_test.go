@@ -518,7 +518,8 @@ func TestReplayTable(t *testing.T) {
 		{clean, true},
 	} {
 		before := table.hits
-		got := table.run(step.s, mm)
+		var got Result
+		table.run(&step.s, mm, &got)
 		if tabled := table.hits > before; tabled != step.tabled {
 			t.Errorf("step %d (%s): served from the table %v, want %v", k, step.s.Name, tabled, step.tabled)
 		}

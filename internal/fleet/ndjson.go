@@ -14,7 +14,9 @@ package fleet
 // where the checkpoint says the frontier is. Both enforce the Sink
 // ordering contract: a row that is not exactly the next expected
 // index is an error, so an out-of-order regression aborts the run
-// instead of silently corrupting the output.
+// instead of silently corrupting the output. In a RunStream both take
+// whole chunks of lines that the workers encoded with the same
+// functions Consume uses (see workerEncoder), so there is one encoder.
 
 import (
 	"bufio"
@@ -81,50 +83,137 @@ func makeRow(i int, r Result, tagMemo bool) NDJSONRow {
 // rowEncoder appends rows into one reused buffer and writes each with
 // a single Write, byte for byte what json.Encoder.Encode writes.
 type rowEncoder struct {
-	w      io.Writer
-	buf    []byte
+	w   io.Writer
+	buf []byte
+	lineEncoder
+}
+
+func (e *rowEncoder) encode(row *NDJSONRow) error {
+	b, err := e.appendLine(e.buf[:0], row)
+	if err != nil {
+		return err
+	}
+	e.buf = b
+	_, err = e.w.Write(b)
+	return err
+}
+
+// lineEncoder appends rows as JSON lines through its own float and
+// string caches. Each sink owns one, and so does each worker of a run
+// whose sink takes encoded lines (see lineSink).
+type lineEncoder struct {
 	floats floatCache
 	plain  plainCache
 }
 
-func (e *rowEncoder) encode(row *NDJSONRow) error {
-	b, ok := appendRow(e.buf[:0], row, &e.floats, &e.plain)
-	if !ok {
-		line, err := json.Marshal(*row)
-		if err != nil {
-			return err
-		}
-		b = append(append(b[:0], line...), '\n')
+// appendLine appends row's JSON line to b: appendRow's bytes, or
+// encoding/json's when appendRow declines the row. On an encoding
+// error b comes back unchanged.
+func (e *lineEncoder) appendLine(b []byte, row *NDJSONRow) ([]byte, error) {
+	if out, ok := appendRow(b, row, &e.floats, &e.plain); ok {
+		return out, nil
 	}
-	e.buf = b
-	_, err := e.w.Write(b)
-	return err
+	line, err := json.Marshal(*row)
+	if err != nil {
+		return b, err
+	}
+	return append(append(b, line...), '\n'), nil
+}
+
+// workerEncoder is a RunStream worker's lineEncoder, encoding with
+// the TagMemo of the run's line sinks.
+type workerEncoder struct {
+	lineEncoder
+	tagMemo bool
+}
+
+// append appends row i's line to b. A table replay (slot non-nil)
+// whose name is plainJSON is a copy: its head, the slot's cached
+// middle, its prediction and the slot's cached rest. Everything else
+// in a replayed row is fixed by its trajectory class (equal handles
+// mean equal engine, profile and outcome, and a table replay's memo
+// tag is always hit-full), so the slot caches those bytes from its
+// first replay. A slot whose row appendRow declines, and every other
+// row, take appendLine.
+func (e *workerEncoder) append(b []byte, i int, r *Result, slot *trajectorySlot) ([]byte, error) {
+	if slot != nil && plainJSON(r.Name) && e.cached(slot, r) {
+		b = append(appendHead(b, i, r.Name), slot.line[:slot.cut]...)
+		b = strconv.AppendInt(b, int64(r.Predicted), 10)
+		return append(b, slot.line[slot.cut:]...), nil
+	}
+	row := makeRow(i, *r, e.tagMemo)
+	return e.appendLine(b, &row)
+}
+
+// cached reports whether slot holds its line bytes, encoding them
+// from r, the slot's first replay, when it has not tried yet.
+func (e *workerEncoder) cached(slot *trajectorySlot, r *Result) bool {
+	if slot.line != nil || slot.general {
+		return slot.line != nil
+	}
+	row := makeRow(0, *r, e.tagMemo)
+	if !rowPlain(&row, &e.plain) {
+		slot.general = true
+		return false
+	}
+	slot.line = appendMiddle(make([]byte, 0, lineBytesHint), &row)
+	slot.cut = len(slot.line)
+	slot.line = appendRest(slot.line, &row, &e.floats)
+	return true
 }
 
 // appendRow appends row's JSON line to b, its floats through fc and
 // its strings checked through pc. ok is false when the row holds a
 // non-finite float (an encoding error) or a string that needs
 // escaping; the caller then encodes the row with encoding/json, so
-// both cases keep its exact bytes and errors.
+// both cases keep its exact bytes and errors. The line is its head,
+// its middle, the prediction and its rest, so a replayed row can copy
+// the middle and the rest of an earlier row of its class.
 func appendRow(b []byte, row *NDJSONRow, fc *floatCache, pc *plainCache) (_ []byte, ok bool) {
+	if !rowPlain(row, pc) {
+		return b, false
+	}
+	b = appendHead(b, row.Index, row.Device)
+	b = strconv.AppendInt(appendMiddle(b, row), int64(row.Predicted), 10)
+	return appendRest(b, row, fc), true
+}
+
+// rowPlain reports whether appendRow can encode row: every string
+// plainJSON and every float finite.
+func rowPlain(row *NDJSONRow, pc *plainCache) bool {
 	for k, s := range [...]string{row.Device, row.Engine, row.Profile, row.Diag, row.Err, row.Memo} {
 		if !pc.plain(k, s) {
-			return b, false
+			return false
 		}
 	}
 	for _, v := range [...]float64{row.ActiveSec, row.WallSec, row.EnergyMJ} {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return b, false
+			return false
 		}
 	}
-	b = strconv.AppendInt(append(b, `{"i":`...), int64(row.Index), 10)
-	b = appendString(b, `,"device":`, row.Device)
+	return true
+}
+
+// appendHead appends a line's opening through its device name; device
+// must be plainJSON.
+func appendHead(b []byte, i int, device string) []byte {
+	b = strconv.AppendInt(append(b, `{"i":`...), int64(i), 10)
+	return appendString(b, `,"device":`, device)
+}
+
+// appendMiddle appends row's fields from "engine" through the
+// "predicted" key.
+func appendMiddle(b []byte, row *NDJSONRow) []byte {
 	b = appendString(b, `,"engine":`, row.Engine)
 	if row.Profile != "" {
 		b = appendString(b, `,"profile":`, row.Profile)
 	}
 	b = strconv.AppendBool(append(b, `,"completed":`...), row.Completed)
-	b = strconv.AppendInt(append(b, `,"predicted":`...), int64(row.Predicted), 10)
+	return append(b, `,"predicted":`...)
+}
+
+// appendRest appends row's fields from "boots" on and the line's end.
+func appendRest(b []byte, row *NDJSONRow, fc *floatCache) []byte {
 	b = strconv.AppendUint(append(b, `,"boots":`...), row.Boots, 10)
 	b = fc.append(append(b, `,"active_s":`...), row.ActiveSec)
 	b = fc.append(append(b, `,"wall_s":`...), row.WallSec)
@@ -141,7 +230,7 @@ func appendRow(b []byte, row *NDJSONRow, fc *floatCache, pc *plainCache) (_ []by
 	if row.Memo != "" {
 		b = appendString(b, `,"memo":`, row.Memo)
 	}
-	return append(b, "}\n"...), true
+	return append(b, "}\n"...)
 }
 
 // appendString appends key and s quoted; s must be plainJSON.
@@ -174,7 +263,7 @@ func appendFloat(b []byte, v float64) []byte {
 // bytes by construction.
 type floatCache [1 << floatCacheBits]floatSlot
 
-const floatCacheBits = 11 // 2,048 slots, 80 KB per encoder
+const floatCacheBits = 9 // 512 slots, 20 KB per encoder
 
 // floatSlot holds one cached encoding. n == 0 marks an empty slot: no
 // float encodes to zero bytes. 31 bytes hold every finite float64
@@ -275,6 +364,18 @@ func (s *NDJSONSink) Consume(i int, r Result) error {
 	return s.enc.encode(&row)
 }
 
+func (s *NDJSONSink) tagMemo() bool { return s.TagMemo }
+
+// writeLines writes rows [start, end), encoded as lines, in one Write.
+func (s *NDJSONSink) writeLines(start, end int, lines []byte) error {
+	if start != s.next {
+		return fmt.Errorf("fleet: NDJSON sink got row %d, want %d", start, s.next)
+	}
+	s.next = end
+	_, err := s.enc.w.Write(lines)
+	return err
+}
+
 // ErrResumeRows: the NDJSON file on disk holds fewer rows than the
 // checkpoint's frontier — the file and checkpoint are not from the
 // same run (or the file was truncated behind the checkpoint's back).
@@ -354,6 +455,14 @@ func (s *NDJSONFile) Consume(i int, r Result) error {
 	defer s.mu.Unlock()
 	s.sink.TagMemo = s.TagMemo
 	return s.sink.Consume(i, r)
+}
+
+func (s *NDJSONFile) tagMemo() bool { return s.TagMemo }
+
+func (s *NDJSONFile) writeLines(start, end int, lines []byte) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.sink.writeLines(start, end, lines)
 }
 
 // Flush implements Flusher: drains the write buffer and fsyncs, so

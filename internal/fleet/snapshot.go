@@ -54,7 +54,8 @@ type aggSnapV1 struct {
 }
 
 // Snapshot serializes the aggregator's full state. The aggregator is
-// still usable afterwards (the snapshot copies what it shares).
+// still usable afterwards: the encoding is done before Snapshot
+// returns, so it shares nothing with the bytes.
 func (a *Agg) Snapshot() ([]byte, error) {
 	s := aggSnapV1{
 		Version:   aggSnapshotVersion,
@@ -70,12 +71,12 @@ func (a *Agg) Snapshot() ([]byte, error) {
 		Diagnoses: make(map[string]int, len(a.diagnoses)),
 	}
 	if len(a.exact) > 0 {
-		s.Exact = append([]float64(nil), a.exact...)
-		sort.Float64s(s.Exact)
+		// Sorting in place changes no report: the retained values are
+		// a multiset, which Report sorts too.
+		sort.Float64s(a.exact)
+		s.Exact = a.exact
 	}
-	if a.hist != nil {
-		s.Hist = append([]int64(nil), a.hist...)
-	}
+	s.Hist = a.hist
 	for k, g := range a.engines {
 		s.Engines[k] = *g
 	}

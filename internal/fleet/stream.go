@@ -4,15 +4,17 @@ package fleet
 // Source (so a million-device fleet is never materialized), workers
 // claim deterministic contiguous chunks of devices and simulate each
 // into its rows plus an aggregator shard, and a single committer puts
-// finished chunks back into scenario order: it hands their rows to
-// the optional Sink and merges their shards. Its contiguous commit
-// frontier — together with the aggregator snapshot and the sink's
-// delivered-row index — is what a DurableRun checkpoints and resumes
-// from (see run.go). Dispatch tokens bound the chunks in flight.
-// StreamOptions.Partition restricts a run to one device range of the
-// fleet (global indices preserved), which is the multi-process
-// sharding substrate (see checkpoint.go and merge.go). Attach a
-// Collector to materialize every row.
+// finished chunks back into scenario order: it hands them to the
+// optional Sink and merges their shards. An NDJSON sink (NDJSONSink,
+// NDJSONFile, or one inside a MultiSink) takes a chunk as the JSON
+// lines its worker encoded, in one write; any other sink takes its
+// rows. Its contiguous commit frontier — together with the aggregator
+// snapshot and the sink's delivered-row index — is what a DurableRun
+// checkpoints and resumes from (see run.go). Dispatch tokens bound
+// the chunks in flight. StreamOptions.Partition restricts a run to one
+// device range of the fleet (global indices preserved), which is the
+// multi-process sharding substrate (see checkpoint.go and merge.go).
+// Attach a Collector to materialize every row.
 
 import (
 	"context"
@@ -58,8 +60,22 @@ func FuncSource(n int, fn func(i int) (Scenario, error)) Source {
 // Sink consumes per-device rows as the fleet streams. Consume is
 // called exactly once per scenario, in scenario order (i strictly
 // increasing), never concurrently. A Consume error aborts the run.
+// RunStream hands an NDJSONSink or NDJSONFile each chunk's encoded
+// lines in one write instead of calling its Consume per row; the
+// bytes and the order are the same.
 type Sink interface {
 	Consume(i int, r Result) error
+}
+
+// lineSink is a Sink that takes a chunk of rows as the JSON lines a
+// worker encoded for them (NDJSONSink and NDJSONFile): writeLines
+// writes rows [start, end) in one write after checking that start is
+// the next row it expects, and tagMemo is the TagMemo the lines must
+// be encoded with.
+type lineSink interface {
+	Sink
+	tagMemo() bool
+	writeLines(start, end int, lines []byte) error
 }
 
 // Flusher is the optional Sink upgrade checkpointing relies on: a
@@ -81,9 +97,12 @@ type SinkFunc func(i int, r Result) error
 // Consume implements Sink.
 func (f SinkFunc) Consume(i int, r Result) error { return f(i, r) }
 
-// MultiSink fans rows out to several sinks in argument order. Its
-// Flush flushes every constituent that implements Flusher, so
-// checkpoint durability propagates through the fan-out.
+// MultiSink fans rows out to several sinks in argument order. In a
+// RunStream, delivery goes chunk by chunk: every member takes a chunk,
+// in argument order, before any takes the next, and a member's error
+// stops the members after it from seeing that chunk. Its Flush flushes
+// every constituent that implements Flusher, so checkpoint durability
+// propagates through the fan-out.
 func MultiSink(sinks ...Sink) Sink { return multiSink(sinks) }
 
 type multiSink []Sink
@@ -194,12 +213,70 @@ type StreamOptions struct {
 
 // chunkDone is a worker's completion record for one fully simulated
 // contiguous chunk: its half-open device range, the aggregator shard
-// over exactly those rows, and the rows themselves (nil when the run
-// has no sink).
+// over exactly those rows, and what the sink takes of them (nil when
+// the run has no sink).
 type chunkDone struct {
 	start, end int
 	agg        *Agg
-	rows       []Result
+	buf        *chunkBuf
+}
+
+// chunkBuf holds what the run's sink takes of one chunk: its rows'
+// JSON lines when a member takes lines, and the rows themselves when a
+// member takes rows. A row whose line fails to encode ends the lines:
+// they cover rows [start, bad), and err says why row bad failed.
+// Buffers go back to the run's free list once committed.
+type chunkBuf struct {
+	lines []byte
+	rows  []Result
+	bad   int
+	err   error
+}
+
+// lineBytesHint pre-sizes a chunk's line buffer per row: a citywide
+// row is about 200 bytes.
+const lineBytesHint = 224
+
+// route is how the run's sink takes chunks: its members in argument
+// order (a MultiSink flattened), and which buffers a worker fills.
+// Lines are encoded with the first lineSink's TagMemo; a lineSink
+// with the other TagMemo takes rows.
+type route struct {
+	members []member
+	lines   bool
+	rows    bool
+	tagMemo bool
+}
+
+// member is one sink of a route: lines is set for a member that takes
+// a chunk's lines, nil for one that consumes its rows.
+type member struct {
+	sink  Sink
+	lines lineSink
+}
+
+func newRoute(s Sink) *route {
+	r := &route{}
+	if s != nil {
+		r.add(s)
+	}
+	return r
+}
+
+func (r *route) add(s Sink) {
+	if ms, ok := s.(multiSink); ok {
+		for _, m := range ms {
+			r.add(m)
+		}
+		return
+	}
+	if ls, ok := s.(lineSink); ok && (!r.lines || ls.tagMemo() == r.tagMemo) {
+		r.lines, r.tagMemo = true, ls.tagMemo()
+		r.members = append(r.members, member{sink: s, lines: ls})
+		return
+	}
+	r.rows = true
+	r.members = append(r.members, member{sink: s})
 }
 
 // ckptJob is one queued checkpoint write: a commit frontier and the
@@ -239,9 +316,10 @@ func (w *ckptWriter) drain() error {
 }
 
 // committer is RunStream's one ordering stage and the only caller of
-// Sink.Consume and Progress. Chunks complete out of order; the
+// the sink and of Progress. Chunks complete out of order; the
 // committer parks early arrivals and, for each gap-free prefix,
-// delivers the chunk's rows, merges its shard and advances the
+// delivers the chunk (one write of its lines to each NDJSON member,
+// its rows to each other member), merges its shard and advances the
 // frontier, in that order. A frontier of R therefore means, by
 // construction, that the sink has consumed exactly rows [Start, R) and
 // the committed aggregator holds exactly that multiset — the invariant
@@ -256,7 +334,8 @@ type committer struct {
 	lastQueued int               // frontier of the most recently queued checkpoint
 	queued     bool              // whether this run has queued a checkpoint at all
 	pending    map[int]chunkDone // parked chunks, keyed by start index
-	sink       Sink
+	route      *route
+	free       chan *chunkBuf // committed chunks' buffers, for the workers to reuse
 	flusher    Flusher
 	writer     *ckptWriter     // nil unless ck is set
 	tokens     chan struct{}   // dispatch tokens; one is returned per committed chunk
@@ -326,11 +405,34 @@ func (c *committer) aborted() bool {
 	}
 }
 
-// deliver hands one chunk's rows to the sink in order.
+// deliver hands one chunk to the sink's members in argument order,
+// then returns its buffers to the free list.
 func (c *committer) deliver(cd chunkDone) error {
-	for k, r := range cd.rows {
-		if err := c.sink.Consume(cd.start+k, r); err != nil {
-			return fmt.Errorf("fleet: sink at row %d: %w", cd.start+k, err)
+	b := cd.buf
+	for _, m := range c.route.members {
+		if m.lines == nil {
+			for k := range b.rows {
+				if err := m.sink.Consume(cd.start+k, b.rows[k]); err != nil {
+					return fmt.Errorf("fleet: sink at row %d: %w", cd.start+k, err)
+				}
+			}
+			continue
+		}
+		end := cd.end
+		if b.err != nil {
+			end = b.bad
+		}
+		if err := m.lines.writeLines(cd.start, end, b.lines); err != nil {
+			return fmt.Errorf("fleet: sink at row %d: %w", cd.start, err)
+		}
+		if b.err != nil {
+			return fmt.Errorf("fleet: sink at row %d: %w", b.bad, b.err)
+		}
+	}
+	if b != nil {
+		select {
+		case c.free <- b:
+		default:
 		}
 	}
 	return nil
@@ -498,7 +600,8 @@ func runStream(src Source, opts StreamOptions, ck *checkpointing) (Report, error
 		rows:       base,
 		lastQueued: base,
 		pending:    make(map[int]chunkDone),
-		sink:       opts.Sink,
+		route:      newRoute(opts.Sink),
+		free:       make(chan *chunkBuf, 2*workers), // one per dispatch token
 		flusher:    flusher,
 		tokens:     make(chan struct{}, 2*workers),
 		abort:      abort,
@@ -534,7 +637,10 @@ func runStream(src Source, opts StreamOptions, ck *checkpointing) (Report, error
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var table replayTable
+			w := worker{ctx: ctx, src: src, opts: &opts, threshold: threshold, chunk: chunk, route: cm.route, free: cm.free}
+			if cm.route.lines {
+				w.enc = &workerEncoder{tagMemo: cm.route.tagMemo}
+			}
 			for {
 				select {
 				case cm.tokens <- struct{}{}:
@@ -550,7 +656,7 @@ func runStream(src Source, opts StreamOptions, ck *checkpointing) (Report, error
 					cm.fail()
 					return
 				}
-				cd, ok := simulateChunk(ctx, src, cs, min(cs+chunk, pend), &opts, threshold, &table)
+				cd, ok := w.simulate(cs, min(cs+chunk, pend))
 				pool.Release()
 				if !ok {
 					cm.fail()
@@ -606,29 +712,45 @@ func runStream(src Source, opts StreamOptions, ck *checkpointing) (Report, error
 	return rep, nil
 }
 
-// simulateChunk runs devices [cs, ce) into one chunk's rows and
-// aggregator shard, replaying memoized devices through the worker's
-// table and adding its replays to the memo's counters once per chunk.
-// It reports false when ctx is cancelled part-way: a partial chunk
-// must never commit, so the frontier never covers a half-simulated
-// chunk.
-func simulateChunk(ctx context.Context, src Source, cs, ce int, opts *StreamOptions, threshold int, table *replayTable) (chunkDone, bool) {
-	cd := chunkDone{start: cs, end: ce, agg: NewAgg(threshold)}
-	if opts.Sink != nil {
-		cd.rows = make([]Result, 0, ce-cs)
+// worker is one RunStream worker's state across its chunks.
+type worker struct {
+	ctx       context.Context
+	src       Source
+	opts      *StreamOptions
+	threshold int
+	chunk     int
+	route     *route
+	free      chan *chunkBuf
+	table     replayTable
+	enc       *workerEncoder // nil unless a sink member takes lines
+}
+
+// simulate runs devices [cs, ce) into one chunk's aggregator shard and
+// what the sink takes of it, replaying memoized devices through the
+// worker's table and adding its replays to the memo's counters once
+// per chunk. It reports false when the context is cancelled part-way:
+// a partial chunk must never commit, so the frontier never covers a
+// half-simulated chunk.
+func (w *worker) simulate(cs, ce int) (chunkDone, bool) {
+	cd := chunkDone{start: cs, end: ce, agg: NewAgg(w.threshold)}
+	if len(w.route.members) > 0 {
+		cd.buf = w.buffer()
 	}
-	if opts.Memo != nil {
+	m := w.opts.Memo
+	if m != nil {
 		defer func() {
-			opts.Memo.CountReplays(table.hits)
-			table.hits = 0
+			m.CountReplays(w.table.hits)
+			w.table.hits = 0
 		}()
 	}
+	b := cd.buf
+	var r Result
 	for i := cs; i < ce; i++ {
-		if ctx.Err() != nil {
+		if w.ctx.Err() != nil {
 			return chunkDone{}, false
 		}
-		s, err := src.At(i)
-		var r Result
+		var slot *trajectorySlot
+		s, err := w.src.At(i)
 		if err != nil {
 			// The scenario never existed, so label its breakdown
 			// groups explicitly instead of leaving them blank.
@@ -640,17 +762,44 @@ func simulateChunk(ctx context.Context, src Source, cs, ce int, opts *StreamOpti
 				Diagnosis: SetupErrorDiagnosis,
 				Err:       fmt.Errorf("fleet: scenario %d: %w", i, err),
 			}
-		} else if opts.Memo != nil {
-			r = table.run(s, opts.Memo)
+		} else if m != nil {
+			slot = w.table.run(&s, m, &r)
 		} else {
 			r = runOne(s)
 		}
-		cd.agg.Observe(r)
-		if cd.rows != nil {
-			cd.rows = append(cd.rows, r)
+		cd.agg.observe(&r)
+		if b == nil {
+			continue
+		}
+		if w.route.rows {
+			b.rows = append(b.rows, r)
+		}
+		if w.enc != nil && b.err == nil {
+			if b.lines, err = w.enc.append(b.lines, i, &r, slot); err != nil {
+				b.bad, b.err = i, err
+			}
 		}
 	}
 	return cd, true
+}
+
+// buffer takes an emptied chunk buffer from the free list, or makes
+// one sized for a chunk.
+func (w *worker) buffer() *chunkBuf {
+	select {
+	case b := <-w.free:
+		b.lines, b.rows, b.err = b.lines[:0], b.rows[:0], nil
+		return b
+	default:
+	}
+	b := &chunkBuf{}
+	if w.route.lines {
+		b.lines = make([]byte, 0, w.chunk*lineBytesHint)
+	}
+	if w.route.rows {
+		b.rows = make([]Result, 0, w.chunk)
+	}
+	return b
 }
 
 // progressEvery is the minimum host time between two progress

@@ -382,7 +382,7 @@ func (s *Server) executeJob(j *Job, ctx context.Context) error {
 		Sink: fleet.SinkFunc(func(i int, r fleet.Result) error {
 			j.mu.Lock()
 			j.rows++
-			j.bump()
+			j.anyChange.bump()
 			j.mu.Unlock()
 			return nil
 		}),

@@ -399,13 +399,14 @@ func (s *Server) handleRows(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	flusher, _ := w.(http.Flusher)
 	var off int64
+	buf := make([]byte, rowsReadSize)
 	for {
 		ch := j.changed()
 		meta, _ := j.snapshot()
 		if err := j.flushRows(); err != nil {
 			return // the run itself is failing; its state event reports why
 		}
-		n, err := copyNewRows(w, j.rowsPath(), &off)
+		n, err := copyNewRows(w, j.rowsPath(), &off, &buf)
 		if err != nil {
 			return
 		}
@@ -423,11 +424,16 @@ func (s *Server) handleRows(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// rowsReadSize is the initial size of a /rows follower's read buffer;
+// copyNewRows grows it to fit a longer line.
+const rowsReadSize = 64 << 10
+
 // copyNewRows streams complete NDJSON lines appearing after *off into
-// w, advancing *off past what it wrote. A trailing partial line (the
-// row file's writer buffers through bufio, which can flush mid-line)
-// stays unread until its newline lands.
-func copyNewRows(w io.Writer, path string, off *int64) (written int64, err error) {
+// w, advancing *off past what it wrote, reading through *buf. A
+// trailing partial line (the row file's writer buffers through bufio,
+// which can flush mid-line) stays unread until its newline lands; a
+// line longer than *buf replaces it with one twice its size.
+func copyNewRows(w io.Writer, path string, off *int64, buf *[]byte) (written int64, err error) {
 	f, err := os.Open(path)
 	if errors.Is(err, fs.ErrNotExist) {
 		return 0, nil // the run has not opened its row file yet
@@ -441,20 +447,21 @@ func copyNewRows(w io.Writer, path string, off *int64) (written int64, err error
 		return 0, fmt.Errorf("fleetd: %w", err)
 	}
 	size := fi.Size()
-	buf := make([]byte, 1<<20)
 	for *off < size {
-		n := size - *off
-		if n > int64(len(buf)) {
-			n = int64(len(buf))
-		}
-		if _, err := io.ReadFull(io.NewSectionReader(f, *off, n), buf[:n]); err != nil {
+		b := *buf
+		n := min(size-*off, int64(len(b)))
+		if _, err := f.ReadAt(b[:n], *off); err != nil {
 			return written, fmt.Errorf("fleetd: reading rows: %w", err)
 		}
-		cut := bytes.LastIndexByte(buf[:n], '\n')
+		cut := bytes.LastIndexByte(b[:n], '\n')
 		if cut < 0 {
-			break // partial line: wait for the rest
+			if n < int64(len(b)) {
+				break // partial line: wait for the rest
+			}
+			*buf = make([]byte, 2*len(b))
+			continue
 		}
-		m, err := w.Write(buf[:cut+1])
+		m, err := w.Write(b[:cut+1])
 		written += int64(m)
 		*off += int64(cut + 1)
 		if err != nil {
@@ -474,7 +481,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	enc := json.NewEncoder(w)
 	cursor := 0
 	for {
-		ch := j.changed()
+		ch := j.eventsChanged()
 		evs, next, terminal := j.eventsSince(cursor)
 		cursor = next
 		for _, ev := range evs {

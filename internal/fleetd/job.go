@@ -110,32 +110,58 @@ type Job struct {
 	mu         sync.Mutex
 	meta       jobMeta
 	events     []Event
-	eventBase  int           // absolute index of events[0]
-	notify     chan struct{} // closed+replaced on every change (broadcast)
-	rows       int           // rows delivered this process (live metric)
+	eventBase  int    // absolute index of events[0]
+	anyChange  signal // bumped on every row, event and state change
+	eventAdded signal // bumped on every event, state changes included
+	rows       int    // rows delivered this process (live metric)
 	run        *fleet.DurableRun
 	cancel     context.CancelFunc
 	userCancel bool
 }
 
 func newJob(id, dir string, meta jobMeta) *Job {
-	return &Job{id: id, dir: dir, meta: meta, notify: make(chan struct{})}
+	return &Job{id: id, dir: dir, meta: meta}
 }
 
 func (j *Job) rowsPath() string     { return fleet.ShardDir(j.dir).Rows }
 func (j *Job) scenarioPath() string { return filepath.Join(j.dir, scenarioFile) }
 
-// bump wakes every waiter. Callers hold j.mu.
-func (j *Job) bump() {
-	close(j.notify)
-	j.notify = make(chan struct{})
+// signal is a broadcast: bump closes the channel its waiters took. A
+// bump with no waiter since the last one costs a nil check and makes
+// no channel. The zero value is ready; the job's mutex guards it.
+type signal struct {
+	ch chan struct{}
+}
+
+// wait returns a channel closed at the next bump.
+func (s *signal) wait() <-chan struct{} {
+	if s.ch == nil {
+		s.ch = make(chan struct{})
+	}
+	return s.ch
+}
+
+// bump wakes every waiter.
+func (s *signal) bump() {
+	if s.ch != nil {
+		close(s.ch)
+		s.ch = nil
+	}
 }
 
 // changed returns a channel closed at the next state/event/row change.
 func (j *Job) changed() <-chan struct{} {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.notify
+	return j.anyChange.wait()
+}
+
+// eventsChanged returns a channel closed at the next event, state
+// changes included; rows do not wake it.
+func (j *Job) eventsChanged() <-chan struct{} {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.eventAdded.wait()
 }
 
 // addEvent appends to the bounded event history and wakes waiters.
@@ -152,7 +178,8 @@ func (j *Job) appendEventLocked(ev Event) {
 		j.events = j.events[over:]
 		j.eventBase += over
 	}
-	j.bump()
+	j.eventAdded.bump()
+	j.anyChange.bump()
 }
 
 // eventsSince copies history from absolute index cursor on, returning

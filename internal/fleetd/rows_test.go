@@ -1,8 +1,9 @@
 package fleetd
 
 // Row-stream regressions: GET /v1/jobs/{id}/rows must deliver every
-// row of the job's file — past the first read buffer, and when the
-// follower's flush lands after the run has closed its row file.
+// row of the job's file — past the first read buffer, when one row is
+// longer than the buffer, and when the follower's flush lands after
+// the run has closed its row file.
 
 import (
 	"bytes"
@@ -30,7 +31,8 @@ func TestCopyNewRowsPastOneMiB(t *testing.T) {
 	}
 	var got bytes.Buffer
 	var off int64
-	n, err := copyNewRows(&got, path, &off)
+	buf := make([]byte, 1<<20)
+	n, err := copyNewRows(&got, path, &off, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,8 +51,46 @@ func TestCopyNewRowsPastOneMiB(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if n, err := copyNewRows(&got, path, &off); err != nil || n != 0 {
+	if n, err := copyNewRows(&got, path, &off, &buf); err != nil || n != 0 {
 		t.Fatalf("partial tail: copied %d bytes, err %v; want nothing", n, err)
+	}
+}
+
+// TestCopyNewRowsLongerThanBuffer: a row longer than the follower's
+// read buffer grows the buffer and is copied whole, with the rows
+// around it; until its newline lands, it waits like any partial line.
+func TestCopyNewRowsLongerThanBuffer(t *testing.T) {
+	short := `{"i":0}` + "\n"
+	long := `{"i":1,"device":"` + strings.Repeat("x", 3*rowsReadSize) + `"}`
+	path := filepath.Join(t.TempDir(), "rows.ndjson")
+	if err := os.WriteFile(path, []byte(short+long), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	var off int64
+	buf := make([]byte, rowsReadSize)
+	if n, err := copyNewRows(&got, path, &off, &buf); err != nil || n != int64(len(short)) {
+		t.Fatalf("before the long row's newline: copied %d bytes, err %v; want the short row", n, err)
+	}
+
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString("\n" + short); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := copyNewRows(&got, path, &off, &buf); err != nil {
+		t.Fatal(err)
+	}
+	if want := short + long + "\n" + short; got.String() != want {
+		t.Fatalf("copied %d bytes, want %d", got.Len(), len(want))
+	}
+	if len(buf) <= len(long) {
+		t.Fatalf("buffer is %d bytes, shorter than the %d-byte row it read", len(buf), len(long))
 	}
 }
 

@@ -22,6 +22,7 @@ import (
 	"sort"
 	"strconv"
 	"sync"
+	"unique"
 
 	"ehdl/internal/core"
 	"ehdl/internal/dataset"
@@ -34,9 +35,9 @@ import (
 )
 
 // compiledSpec is one fully-resolved device spec: everything shared
-// by its expanded devices. The model artifact is referenced by
-// resolved path and fetched through the source's bounded store, so a
-// fleet mixing hundreds of artifacts does not pin them all.
+// by its expanded devices. The model artifact is referenced by its
+// interned store key and fetched through the source's bounded store,
+// so a fleet mixing hundreds of artifacts does not pin them all.
 type compiledSpec struct {
 	name        string
 	count       int
@@ -46,7 +47,7 @@ type compiledSpec struct {
 	jitterSteps int
 	prof        ProfileSpec
 	trace       *harvest.TraceProfile // preloaded for kind "trace"
-	modelPath   string                // resolved artifact path (store key)
+	artifact    artifactKey           // interned (resolved path, seed) store key
 	sample      *int                  // explicit test-sample override
 	runner      *intermittent.Runner  // boot-budget overrides (nil = defaults)
 	// profiles holds the immutable profile of each jitter bin, shared
@@ -168,7 +169,7 @@ func (s *FleetSource) At(i int) (fleet.Scenario, error) {
 	k := sort.Search(len(s.specs), func(k int) bool { return s.cum[k+1] > base })
 	spec := &s.specs[k]
 
-	b, err := s.cache.bundle(spec.modelPath, s.seed)
+	b, err := s.cache.bundle(spec.artifact)
 	if err != nil {
 		return fleet.Scenario{}, err
 	}
@@ -324,20 +325,34 @@ type modelBundle struct {
 	inputs [][]fixed.Q15
 }
 
-// artifactKey identifies one loadable bundle: the resolved artifact
+// artifactID identifies one loadable bundle: the resolved artifact
 // path plus the dataset seed (two fleets with different seeds derive
 // different test inputs from the same model file).
-type artifactKey struct {
+type artifactID struct {
 	path string
 	seed int64
 }
 
+// artifactKey is an interned artifactID: equal IDs make the same
+// handle, which compares and hashes as one pointer word.
+type artifactKey = unique.Handle[artifactID]
+
+// newArtifactKey interns the bundle key of the resolved path under
+// seed.
+func newArtifactKey(resolved string, seed int64) artifactKey {
+	return unique.Make(artifactID{path: resolved, seed: seed})
+}
+
 // ArtifactCache serves model bundles through a bounded CLOCK cache
 // (the memo package's LRU, doing double duty as the ROADMAP's
-// model-store LRU), keyed by (resolved path, seed) so it can be shared
-// across fleet sources — the fleet service keeps one for the whole
-// process. A hit takes no lock; a miss takes the load mutex, re-checks
-// the cache under it and loads, so racing misses load a bundle once.
+// model-store LRU), keyed by the interned (resolved path, seed) so it
+// can be shared across fleet sources — the fleet service keeps one
+// for the whole process, and handles are canonical process-wide, so
+// two jobs naming one artifact and seed share its bundle. A spec holds
+// the key, not the bundle, so the bound still evicts. A hit hashes
+// the key's one pointer word and takes no lock; a miss takes the load
+// mutex, re-checks the cache under it and loads, so racing misses
+// load a bundle once.
 // Reloading an evicted bundle is deterministic — artifacts are
 // immutable files and datasets are generated from the expansion seed
 // — so eviction changes pointer identity, never content: memoization
@@ -368,10 +383,9 @@ func (a *ArtifactCache) Len() int { return a.lru.Len() }
 // Evictions returns how many bundles were dropped to make room.
 func (a *ArtifactCache) Evictions() uint64 { return a.lru.Evictions() }
 
-// bundle returns the bundle for the resolved artifact path under
-// seed, loading (or reloading, after eviction) on miss.
-func (a *ArtifactCache) bundle(resolved string, seed int64) (*modelBundle, error) {
-	key := artifactKey{path: resolved, seed: seed}
+// bundle returns the bundle under key, loading (or reloading, after
+// eviction) on miss.
+func (a *ArtifactCache) bundle(key artifactKey) (*modelBundle, error) {
 	if b, ok := a.lru.Get(key); ok {
 		return b, nil
 	}
@@ -380,11 +394,12 @@ func (a *ArtifactCache) bundle(resolved string, seed int64) (*modelBundle, error
 	if b, ok := a.lru.Get(key); ok { // a racing miss loaded it first
 		return b, nil
 	}
-	m, err := LoadModel(resolved)
+	id := key.Value()
+	m, err := LoadModel(id.path)
 	if err != nil {
 		return nil, err
 	}
-	set, err := DatasetFor(m, seed)
+	set, err := DatasetFor(m, id.seed)
 	if err != nil {
 		return nil, err
 	}
@@ -429,8 +444,8 @@ func (c *compiler) compile(def, d *DeviceSpec, di int) (compiledSpec, error) {
 	if modelPath == "" {
 		return spec, fmt.Errorf("no model path (set it on the device or in defaults)")
 	}
-	spec.modelPath = resolvePath(c.baseDir, modelPath)
-	bundle, err := c.cache.bundle(spec.modelPath, c.seed)
+	spec.artifact = newArtifactKey(resolvePath(c.baseDir, modelPath), c.seed)
+	bundle, err := c.cache.bundle(spec.artifact)
 	if err != nil {
 		return spec, err
 	}

@@ -17,6 +17,7 @@ import (
 	"ehdl/internal/fleet/memo"
 	"ehdl/internal/harvest"
 	"ehdl/internal/intermittent"
+	"ehdl/internal/quant"
 )
 
 // TestFleetSourceLazyMatchesMaterialized: At(i) must build exactly
@@ -537,7 +538,7 @@ func TestArtifactCacheConcurrentLoads(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for k := 0; k < 50 && errs[g] == nil; k++ {
-				got[g], errs[g] = cache.bundle(path, 1)
+				got[g], errs[g] = cache.bundle(newArtifactKey(path, 1))
 			}
 		}(g)
 	}
@@ -633,5 +634,65 @@ func TestFleetSourceHandles(t *testing.T) {
 	// flat: 3 engines; binned: 3 engines x 4 bins; pinned: 4 bins.
 	if len(trajs) != 3+12+4 {
 		t.Errorf("%d trajectory handles, want %d", len(trajs), 3+12+4)
+	}
+}
+
+// TestFleetSourceAtAllocs: a device with a bin profile costs At no
+// allocation but its indexed name — none at all on a natural-size
+// spec of count 1, whose name is the spec's.
+func TestFleetSourceAtAllocs(t *testing.T) {
+	src, err := LoadFleetSource(writeScenarioBundle(t), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Devices 2-4 are the bundle's count-1 specs without continuous
+	// jitter; 0 and 1 build a jittered profile per device.
+	for i := 2; i < src.Len(); i++ {
+		if n := testing.AllocsPerRun(100, func() { src.At(i) }); n != 0 {
+			t.Errorf("natural-size device %d: At allocates %v, want 0", i, n)
+		}
+	}
+	big := src.Resize(1000)
+	for _, i := range []int{2, 3, 4, 997, 998, 999} {
+		if n := testing.AllocsPerRun(100, func() { big.At(i) }); n > 1 {
+			t.Errorf("resized device %d: At allocates %v, want at most the name", i, n)
+		}
+	}
+}
+
+// TestArtifactCacheSharedAcrossSources: sources compiled from one
+// file and seed over one cache share its bundle; another seed loads a
+// bundle of its own.
+func TestArtifactCacheSharedAcrossSources(t *testing.T) {
+	path := writeScenarioBundle(t)
+	sf, err := ParseScenarioFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache := NewArtifactCache(0)
+	compile := func(seed int64) *quant.Model {
+		t.Helper()
+		src, err := CompileFleetSource(sf, filepath.Dir(path), seed, cache)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := src.At(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s.Model
+	}
+	a, b := compile(1), compile(1)
+	if a != b {
+		t.Fatal("two sources of one file and seed loaded the model twice")
+	}
+	if cache.Len() != 1 {
+		t.Fatalf("cache holds %d bundles after one file and seed, want 1", cache.Len())
+	}
+	if c := compile(2); c == a {
+		t.Fatal("another seed shares the first seed's bundle")
+	}
+	if cache.Len() != 2 {
+		t.Fatalf("cache holds %d bundles after two seeds, want 2", cache.Len())
 	}
 }

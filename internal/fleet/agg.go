@@ -11,6 +11,15 @@ package fleet
 // published quantity is a function of the observed multiset alone —
 // integer counters, sorted exact values, and histogram bin counts are
 // all independent of both observation and merge order.
+//
+// A replayed fleet observes long runs of rows with the same engine,
+// profile and diagnosis, so a shard hashes none of them per row: it
+// keeps the last engine and profile group it touched, and counts a run
+// of equal diagnoses before adding it to the diagnosis map. Merge
+// (on both sides), Report and Snapshot flush that pending run first.
+// Merging a shard that has not spilled into an aggregate that has
+// bins the shard's exact values straight into the aggregate's
+// histogram; the shard never spills.
 
 import (
 	"math"
@@ -62,7 +71,10 @@ func (g *GroupStats) observe(r *Result) {
 
 // Agg accumulates a fleet report row by row in constant memory. The
 // zero value is not ready; use NewAgg. An Agg is not goroutine-safe —
-// streaming runs give each worker its own shard and Merge them.
+// streaming runs give each chunk its own shard and Merge them. Its
+// one-entry group caches and pending diagnosis run are internal: every
+// method that reads or hands on the diagnosis map flushes the run
+// first.
 type Agg struct {
 	threshold int
 
@@ -81,6 +93,16 @@ type Agg struct {
 	engines   map[string]*GroupStats
 	profiles  map[string]*GroupStats
 	diagnoses map[string]int
+
+	// engine and profile are the groups of the last row observed,
+	// under their keys; nil before the first row. A group pointer
+	// stays valid for the Agg's life: the maps never replace one.
+	engineKey, profileKey string
+	engine, profile       *GroupStats
+	// diag has been the diagnosis of the diagRun rows observed since
+	// the run was last flushed into diagnoses.
+	diag    string
+	diagRun int
 }
 
 // NewAgg returns an aggregator that keeps exact percentiles up to
@@ -97,6 +119,14 @@ func NewAgg(exactThreshold int) *Agg {
 	}
 }
 
+// newShard returns an aggregator for one chunk of n rows, its exact
+// values sized for the chunk.
+func newShard(threshold, n int) *Agg {
+	a := NewAgg(threshold)
+	a.exact = make([]float64, 0, min(n, a.threshold))
+	return a
+}
+
 // Observe folds one scenario result into the aggregate.
 func (a *Agg) Observe(r Result) { a.observe(&r) }
 
@@ -110,12 +140,32 @@ func (a *Agg) observe(r *Result) {
 		a.errors++
 	}
 	a.boots += r.Boots
-	group(a.engines, string(r.Engine)).observe(r)
-	group(a.profiles, r.Profile).observe(r)
+	if a.engine == nil || string(r.Engine) != a.engineKey {
+		a.engineKey = string(r.Engine)
+		a.engine = group(a.engines, a.engineKey)
+	}
+	a.engine.observe(r)
+	if a.profile == nil || r.Profile != a.profileKey {
+		a.profileKey = r.Profile
+		a.profile = group(a.profiles, a.profileKey)
+	}
+	a.profile.observe(r)
 	if r.Diagnosis != "" {
-		a.diagnoses[r.Diagnosis]++
+		if r.Diagnosis != a.diag {
+			a.flushDiag()
+			a.diag = r.Diagnosis
+		}
+		a.diagRun++
 	}
 	a.observeWall(r.WallSec)
+}
+
+// flushDiag adds the pending diagnosis run to the diagnosis map.
+func (a *Agg) flushDiag() {
+	if a.diagRun > 0 {
+		a.diagnoses[a.diag] += a.diagRun
+		a.diagRun = 0
+	}
 }
 
 func group(m map[string]*GroupStats, key string) *GroupStats {
@@ -198,6 +248,8 @@ func mergeGroups(dst, src map[string]*GroupStats) {
 // Merging is deterministic in the combined multiset: shards may be
 // merged in any grouping/order and yield the same report.
 func (a *Agg) Merge(b *Agg) {
+	a.flushDiag()
+	b.flushDiag()
 	a.devices += b.devices
 	a.completed += b.completed
 	a.errors += b.errors
@@ -207,15 +259,19 @@ func (a *Agg) Merge(b *Agg) {
 	for k, n := range b.diagnoses {
 		a.diagnoses[k] += n
 	}
-	if a.hist == nil && b.hist == nil && len(a.exact)+len(b.exact) <= a.threshold {
-		a.exact = append(a.exact, b.exact...)
-		return
-	}
 	if a.hist == nil {
+		if b.hist == nil && len(a.exact)+len(b.exact) <= a.threshold {
+			a.exact = append(a.exact, b.exact...)
+			return
+		}
 		a.spill()
 	}
 	if b.hist == nil {
-		b.spill()
+		for _, v := range b.exact {
+			a.hist[histBin(v)]++
+		}
+		a.histCount += len(b.exact)
+		return
 	}
 	for i, c := range b.hist {
 		a.hist[i] += c
@@ -227,6 +283,7 @@ func (a *Agg) Merge(b *Agg) {
 // for the caller. The exact path sorts the retained values in place,
 // so Report is not idempotent with further Observe calls.
 func (a *Agg) Report() Report {
+	a.flushDiag()
 	rep := Report{
 		Devices:          a.devices,
 		Completed:        a.completed,

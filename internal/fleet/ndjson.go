@@ -320,13 +320,23 @@ func (c *plainCache) plain(k int, s string) bool {
 // the HTML-sensitive <, >, &).
 func plainJSON(s string) bool {
 	for i := 0; i < len(s); i++ {
-		switch c := s[i]; {
-		case c < 0x20 || c > 0x7e, c == '"', c == '\\', c == '<', c == '>', c == '&':
+		if !plainByte[s[i]] {
 			return false
 		}
 	}
 	return true
 }
+
+// plainByte marks the bytes plainJSON accepts.
+var plainByte = func() (t [256]bool) {
+	for c := 0x20; c <= 0x7e; c++ {
+		t[c] = true
+	}
+	for _, c := range `"\<>&` {
+		t[c] = false
+	}
+	return t
+}()
 
 // NDJSONSink writes one row per line to w. It does not buffer: wrap w
 // in a bufio.Writer (and flush it after RunStream returns) when

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -149,4 +150,20 @@ func TestNDJSONRowRandomFloats(t *testing.T) {
 		}
 	}
 	checkRowEncoding(t, rows...)
+}
+
+// TestPlainJSONBytes: plainJSON accepts exactly printable ASCII
+// less ", \, <, > and &, and encoding/json writes every byte it
+// accepts as itself inside a string.
+func TestPlainJSONBytes(t *testing.T) {
+	for c := 0; c < 256; c++ {
+		s := string([]byte{'a', byte(c), 'z'})
+		want := c >= 0x20 && c <= 0x7e && !strings.ContainsRune(`"\<>&`, rune(c))
+		if plainJSON(s) != want {
+			t.Errorf("byte %#x: plainJSON %v, want %v", c, plainJSON(s), want)
+		}
+		if enc, err := json.Marshal(s); want && (err != nil || string(enc) != `"`+s+`"`) {
+			t.Errorf("byte %#x: plain, but encoding/json writes %s (%v)", c, enc, err)
+		}
+	}
 }

@@ -57,6 +57,7 @@ type aggSnapV1 struct {
 // still usable afterwards: the encoding is done before Snapshot
 // returns, so it shares nothing with the bytes.
 func (a *Agg) Snapshot() ([]byte, error) {
+	a.flushDiag()
 	s := aggSnapV1{
 		Version:   aggSnapshotVersion,
 		Threshold: a.threshold,

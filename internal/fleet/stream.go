@@ -7,14 +7,15 @@ package fleet
 // finished chunks back into scenario order: it hands them to the
 // optional Sink and merges their shards. An NDJSON sink (NDJSONSink,
 // NDJSONFile, or one inside a MultiSink) takes a chunk as the JSON
-// lines its worker encoded, in one write; any other sink takes its
-// rows. Its contiguous commit frontier — together with the aggregator
-// snapshot and the sink's delivered-row index — is what a DurableRun
-// checkpoints and resumes from (see run.go). Dispatch tokens bound
-// the chunks in flight. StreamOptions.Partition restricts a run to one
-// device range of the fleet (global indices preserved), which is the
-// multi-process sharding substrate (see checkpoint.go and merge.go).
-// Attach a Collector to materialize every row.
+// lines its worker encoded, in one write; a RowsFunc takes its range;
+// any other sink takes its rows. Its contiguous commit frontier —
+// together with the aggregator snapshot and the sink's delivered-row
+// index — is what a DurableRun checkpoints and resumes from (see
+// run.go). Dispatch tokens bound the chunks in flight.
+// StreamOptions.Partition restricts a run to one device range of the
+// fleet (global indices preserved), which is the multi-process
+// sharding substrate (see checkpoint.go and merge.go). Attach a
+// Collector to materialize every row.
 
 import (
 	"context"
@@ -61,8 +62,9 @@ func FuncSource(n int, fn func(i int) (Scenario, error)) Source {
 // called exactly once per scenario, in scenario order (i strictly
 // increasing), never concurrently. A Consume error aborts the run.
 // RunStream hands an NDJSONSink or NDJSONFile each chunk's encoded
-// lines in one write instead of calling its Consume per row; the
-// bytes and the order are the same.
+// lines in one write, and a RowsFunc each chunk's row range in one
+// call, instead of calling their Consume per row; the bytes, the rows
+// covered and the order are the same.
 type Sink interface {
 	Consume(i int, r Result) error
 }
@@ -97,12 +99,23 @@ type SinkFunc func(i int, r Result) error
 // Consume implements Sink.
 func (f SinkFunc) Consume(i int, r Result) error { return f(i, r) }
 
+// RowsFunc is a Sink that takes rows by index range only, for a
+// caller that counts rows and needs none of their contents. RunStream
+// calls it once per committed chunk with the chunk's range [start,
+// end), in scenario order, and builds no Results for it; Consume(i, r)
+// calls f(i, i+1).
+type RowsFunc func(start, end int) error
+
+// Consume implements Sink.
+func (f RowsFunc) Consume(i int, _ Result) error { return f(i, i+1) }
+
 // MultiSink fans rows out to several sinks in argument order. In a
 // RunStream, delivery goes chunk by chunk: every member takes a chunk,
-// in argument order, before any takes the next, and a member's error
-// stops the members after it from seeing that chunk. Its Flush flushes
-// every constituent that implements Flusher, so checkpoint durability
-// propagates through the fan-out.
+// in argument order, before any takes the next — an NDJSON member as
+// its lines, a RowsFunc as its range, any other member row by row —
+// and a member's error stops the members after it from seeing that
+// chunk. Its Flush flushes every constituent that implements Flusher,
+// so checkpoint durability propagates through the fan-out.
 func MultiSink(sinks ...Sink) Sink { return multiSink(sinks) }
 
 type multiSink []Sink
@@ -240,7 +253,8 @@ const lineBytesHint = 224
 // route is how the run's sink takes chunks: its members in argument
 // order (a MultiSink flattened), and which buffers a worker fills.
 // Lines are encoded with the first lineSink's TagMemo; a lineSink
-// with the other TagMemo takes rows.
+// with the other TagMemo takes rows. A RowsFunc takes a chunk's range
+// and needs neither buffer.
 type route struct {
 	members []member
 	lines   bool
@@ -249,10 +263,12 @@ type route struct {
 }
 
 // member is one sink of a route: lines is set for a member that takes
-// a chunk's lines, nil for one that consumes its rows.
+// a chunk's lines, ranges for one that takes its range, neither for
+// one that consumes its rows.
 type member struct {
-	sink  Sink
-	lines lineSink
+	sink   Sink
+	lines  lineSink
+	ranges RowsFunc
 }
 
 func newRoute(s Sink) *route {
@@ -273,6 +289,10 @@ func (r *route) add(s Sink) {
 	if ls, ok := s.(lineSink); ok && (!r.lines || ls.tagMemo() == r.tagMemo) {
 		r.lines, r.tagMemo = true, ls.tagMemo()
 		r.members = append(r.members, member{sink: s, lines: ls})
+		return
+	}
+	if f, ok := s.(RowsFunc); ok {
+		r.members = append(r.members, member{sink: s, ranges: f})
 		return
 	}
 	r.rows = true
@@ -319,8 +339,8 @@ func (w *ckptWriter) drain() error {
 // the sink and of Progress. Chunks complete out of order; the
 // committer parks early arrivals and, for each gap-free prefix,
 // delivers the chunk (one write of its lines to each NDJSON member,
-// its rows to each other member), merges its shard and advances the
-// frontier, in that order. A frontier of R therefore means, by
+// its range to each RowsFunc, its rows to each other member), merges
+// its shard and advances the frontier, in that order. A frontier of R therefore means, by
 // construction, that the sink has consumed exactly rows [Start, R) and
 // the committed aggregator holds exactly that multiset — the invariant
 // that makes each CheckpointState consistent and resume exact.
@@ -410,6 +430,12 @@ func (c *committer) aborted() bool {
 func (c *committer) deliver(cd chunkDone) error {
 	b := cd.buf
 	for _, m := range c.route.members {
+		if m.ranges != nil {
+			if err := m.ranges(cd.start, cd.end); err != nil {
+				return fmt.Errorf("fleet: sink at row %d: %w", cd.start, err)
+			}
+			continue
+		}
 		if m.lines == nil {
 			for k := range b.rows {
 				if err := m.sink.Consume(cd.start+k, b.rows[k]); err != nil {
@@ -732,8 +758,8 @@ type worker struct {
 // a partial chunk must never commit, so the frontier never covers a
 // half-simulated chunk.
 func (w *worker) simulate(cs, ce int) (chunkDone, bool) {
-	cd := chunkDone{start: cs, end: ce, agg: NewAgg(w.threshold)}
-	if len(w.route.members) > 0 {
+	cd := chunkDone{start: cs, end: ce, agg: newShard(w.threshold, ce-cs)}
+	if w.route.lines || w.route.rows {
 		cd.buf = w.buffer()
 	}
 	m := w.opts.Memo

@@ -379,9 +379,9 @@ func (s *Server) executeJob(j *Job, ctx context.Context) error {
 		Pool:      s.pool,
 		Context:   ctx,
 		Clock:     s.clock,
-		Sink: fleet.SinkFunc(func(i int, r fleet.Result) error {
+		Sink: fleet.RowsFunc(func(start, end int) error {
 			j.mu.Lock()
-			j.rows++
+			j.rows += end - start
 			j.anyChange.bump()
 			j.mu.Unlock()
 			return nil

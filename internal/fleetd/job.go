@@ -111,7 +111,7 @@ type Job struct {
 	meta       jobMeta
 	events     []Event
 	eventBase  int    // absolute index of events[0]
-	anyChange  signal // bumped on every row, event and state change
+	anyChange  signal // bumped on every committed chunk, event and state change
 	eventAdded signal // bumped on every event, state changes included
 	rows       int    // rows delivered this process (live metric)
 	run        *fleet.DurableRun
